@@ -1,10 +1,9 @@
 /// \file ablation_predict.cpp
 /// Ablations for the design choices DESIGN.md calls out (not a paper table;
 /// supports the analysis in §4.3 and the future-work discussion):
-///   A. clearing failure_push at each propagation (paper line 44) vs never
-///   B. diff-set refinement on failed candidates (line 27) vs naive retry
-///   C. single-literal candidates (Eq. 6) vs up-to-two-literal extensions
-///   D. core-shrinking validated predictions vs taking them verbatim
+///   A. diff-set refinement on failed candidates (line 27) vs naive retry
+///   B. single-literal candidates (Eq. 6) vs up-to-two-literal extensions
+///   C. core-shrinking validated predictions vs taking them verbatim
 /// Each variant runs the suite on top of the IC3ref-style (ctg) baseline.
 #include "bench/bench_common.hpp"
 #include "engine/backend.hpp"
@@ -34,23 +33,18 @@ int main(int argc, char** argv) {
   variants.push_back({"pl (paper)", base});
   {
     ic3::Config c = base;
-    c.clear_failure_push_on_propagate = false;
-    variants.push_back({"A: keep failure_push", c});
-  }
-  {
-    ic3::Config c = base;
     c.predict_refine_diff = false;
-    variants.push_back({"B: no diff refine", c});
+    variants.push_back({"A: no diff refine", c});
   }
   {
     ic3::Config c = base;
     c.predict_max_extra_lits = 2;
-    variants.push_back({"C: 2-lit candidates", c});
+    variants.push_back({"B: 2-lit candidates", c});
   }
   {
     ic3::Config c = base;
     c.predict_core_shrink = true;
-    variants.push_back({"D: core-shrink preds", c});
+    variants.push_back({"C: core-shrink preds", c});
   }
 
   const std::vector<circuits::CircuitCase> cases =
@@ -104,8 +98,7 @@ int main(int argc, char** argv) {
                 100.0 * sum_adv / counted, total_s);
   }
   std::printf(
-      "\nReading: variant A trades stale CTPs for hit rate; B shows the\n"
-      "refinement's query savings; C/D probe the paper's future-work axis\n"
-      "(raising prediction rate).\n");
+      "\nReading: variant A shows the refinement's query savings; B/C probe\n"
+      "the paper's future-work axis (raising prediction rate).\n");
   return 0;
 }

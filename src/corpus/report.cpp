@@ -18,6 +18,9 @@ std::vector<EnginePhaseReport> aggregate_phase_report(const ResultsDb& db) {
       ++row.cases;
       if (r.record.solved) ++row.solved;
       row.total_seconds += r.record.seconds;
+      row.push_queries += r.record.stats.num_push_queries;
+      row.push_successes += r.record.stats.num_push_successes;
+      row.push_skips += r.record.stats.num_push_skips;
       row.phases += r.record.stats.phases;
       break;
     }
@@ -29,10 +32,15 @@ std::string render_phase_report(
     const std::vector<EnginePhaseReport>& rows) {
   std::ostringstream out;
   for (const EnginePhaseReport& row : rows) {
-    char head[160];
+    char head[256];
     std::snprintf(head, sizeof(head),
-                  "%s: %zu/%zu solved, %.3fs total\n", row.engine.c_str(),
-                  row.solved, row.cases, row.total_seconds);
+                  "%s: %zu/%zu solved, %.3fs total, push_queries=%llu "
+                  "push_successes=%llu push_skips=%llu\n",
+                  row.engine.c_str(), row.solved, row.cases,
+                  row.total_seconds,
+                  static_cast<unsigned long long>(row.push_queries),
+                  static_cast<unsigned long long>(row.push_successes),
+                  static_cast<unsigned long long>(row.push_skips));
     out << head;
     if (row.phases.empty()) {
       out << "  (no phase data recorded)\n";

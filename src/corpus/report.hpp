@@ -1,7 +1,8 @@
 /// \file report.hpp
 /// Campaign-level phase aggregation behind `pilot-bench report`: folds a
 /// ResultsDb into one row per engine — cases run, cases solved, total
-/// wall-clock, and the summed per-phase profile — and renders the
+/// wall-clock, propagation push counts, and the summed per-phase profile —
+/// and renders the
 /// per-engine phase tables.  Rows written by builds that predate phase
 /// profiling simply contribute zeros, so any existing campaign db reports
 /// cleanly (its phase tables are just empty).
@@ -23,6 +24,11 @@ struct EnginePhaseReport {
   std::size_t solved = 0;
   /// Sum of per-case wall-clock seconds (RunRecord::seconds).
   double total_seconds = 0.0;
+  /// Summed propagation counters: push solves issued, pushes that
+  /// succeeded, and pushes skipped because a stored CTP still held.
+  std::uint64_t push_queries = 0;
+  std::uint64_t push_successes = 0;
+  std::uint64_t push_skips = 0;
   obs::PhaseProfile phases;
 };
 

@@ -22,6 +22,13 @@ json::Value stats_to_json(const ic3::Ic3Stats& s) {
   o["obligations"] = s.num_obligations;
   o["mic_queries"] = s.num_mic_queries;
   o["push_queries"] = s.num_push_queries;
+  o["push_successes"] = s.num_push_successes;
+  o["push_skips"] = s.num_push_skips;
+  o["ctis"] = s.num_ctis;
+  o["blocked_cubes"] = s.num_blocked_cubes;
+  o["mic_drops"] = s.num_mic_drops;
+  o["ctg_blocked"] = s.num_ctg_blocked;
+  o["subsumed_lemmas"] = s.num_subsumed_lemmas;
   o["max_frame"] = s.max_frame;
   // SAT hot-path counters (PR 4): campaigns quantify the solver-layer
   // optimizations — total propagation work, trail-reuse savings, binary
@@ -36,6 +43,7 @@ json::Value stats_to_json(const ic3::Ic3Stats& s) {
   o["sat_binary_propagations"] = s.sat_binary_propagations;
   o["sat_glue_learnts"] = s.sat_glue_learnts;
   o["solver_rebuilds"] = s.num_solver_rebuilds;
+  o["rebuild_carried_phases"] = s.num_rebuild_carried_phases;
   // Ternary drop-filter / packed-simulation counters (PR 6): how many
   // candidate-drop solves the cached-CTI filter screened and skipped, and
   // the packed ternary-simulation volume behind it.
@@ -126,6 +134,15 @@ ic3::Ic3Stats stats_from_json(const json::Value& v) {
   s.num_obligations = v.at("obligations").as_uint();
   s.num_mic_queries = v.at("mic_queries").as_uint();
   s.num_push_queries = v.at("push_queries").as_uint();
+  // Engine counters rows did not always carry: absent fields read as 0
+  // (at() returns a null Value whose as_uint() falls back to 0).
+  s.num_push_successes = v.at("push_successes").as_uint();
+  s.num_push_skips = v.at("push_skips").as_uint();
+  s.num_ctis = v.at("ctis").as_uint();
+  s.num_blocked_cubes = v.at("blocked_cubes").as_uint();
+  s.num_mic_drops = v.at("mic_drops").as_uint();
+  s.num_ctg_blocked = v.at("ctg_blocked").as_uint();
+  s.num_subsumed_lemmas = v.at("subsumed_lemmas").as_uint();
   s.max_frame = v.at("max_frame").as_uint();
   // Absent in rows written before the SAT-layer counters existed; at()
   // returns a null Value whose as_uint() falls back to 0.
@@ -139,6 +156,7 @@ ic3::Ic3Stats stats_from_json(const json::Value& v) {
   s.sat_binary_propagations = v.at("sat_binary_propagations").as_uint();
   s.sat_glue_learnts = v.at("sat_glue_learnts").as_uint();
   s.num_solver_rebuilds = v.at("solver_rebuilds").as_uint();
+  s.num_rebuild_carried_phases = v.at("rebuild_carried_phases").as_uint();
   // Ternary-filter fields (PR 6): absent in older rows — same null/0
   // fallback as above keeps old baselines loadable.
   s.num_filter_checks = v.at("filter_checks").as_uint();

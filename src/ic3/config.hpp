@@ -72,10 +72,6 @@ struct Config {
   /// literals added to the parent lemma (the paper uses exactly 1; Eq. 6).
   int predict_max_extra_lits = 1;
 
-  /// Clear the failure_push table at each propagation (paper line 44).
-  /// Ablation: keeping stale entries trades accuracy for hit rate.
-  bool clear_failure_push_on_propagate = true;
-
   /// On failed prediction queries, refine the diff set with the new
   /// counterexample (paper line 27).  Ablation knob.
   bool predict_refine_diff = true;

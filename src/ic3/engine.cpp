@@ -1,6 +1,9 @@
 #include "ic3/engine.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <optional>
+#include <utility>
 
 #include "obs/phase.hpp"
 #include "obs/progress.hpp"
@@ -16,18 +19,18 @@ Engine::Engine(const ts::TransitionSystem& ts, Config cfg)
       lifter_(ts_, cfg_, stats_),
       generalizer_(ts_, solvers_, frames_, cfg_, stats_) {}
 
-void Engine::add_lemma(const Cube& cube, std::size_t level) {
+bool Engine::add_lemma(const Cube& cube, std::size_t level) {
   std::size_t removed = 0;
-  if (frames_.add_lemma(cube, level, &removed)) {
-    solvers_.add_lemma_clause(cube, level);
-    generalizer_.on_lemma(cube, level);
-    ++stats_.num_lemmas;
-    stats_.num_subsumed_lemmas += removed;
-    if (cfg_.lemma_bus != nullptr && !importing_) {
-      cfg_.lemma_bus->publish(cube, level);
-      ++stats_.num_exchange_published;
-    }
+  if (!frames_.add_lemma(cube, level, &removed)) return false;
+  solvers_.add_lemma_clause(cube, level);
+  generalizer_.on_lemma(cube, level);
+  ++stats_.num_lemmas;
+  stats_.num_subsumed_lemmas += removed;
+  if (cfg_.lemma_bus != nullptr && !importing_) {
+    cfg_.lemma_bus->publish(cube, level);
+    ++stats_.num_exchange_published;
   }
+  return true;
 }
 
 void Engine::import_shared_lemmas(const Deadline& deadline) {
@@ -192,21 +195,23 @@ bool Engine::block(int root_index, const Deadline& deadline) {
           [this](const Cube& c, std::size_t lv) { add_lemma(c, lv); });
 
       // Push the lemma as high as it proves inductive (paper lines 36-38);
-      // on failure hand the CTP successor to the strategy.
+      // a failed push leaves its CTP in the store once the lemma is in.
       std::size_t j = ob.level;
+      std::optional<std::pair<Cube, Cube>> ctp;
       while (j < frames_.top_level()) {
         if (!solvers_.relative_inductive(lemma, j,
                                          /*cube_clause_in_frame=*/false,
                                          nullptr, deadline)) {
-          if (generalizer_.wants_push_failures()) {
-            generalizer_.on_push_failure(
-                lemma, j, solvers_.model_state(/*primed=*/true));
-          }
+          ctp.emplace(solvers_.model_state(/*primed=*/false),
+                      solvers_.model_state(/*primed=*/true));
           break;
         }
         ++j;
       }
-      add_lemma(lemma, j);
+      if (add_lemma(lemma, j) && ctp.has_value()) {
+        frames_.ctps().record(lemma, j, std::move(ctp->first),
+                              std::move(ctp->second));
+      }
       ++stats_.num_blocked_cubes;
       if (cfg_.reenqueue_obligations && j < frames_.top_level()) {
         ob.level = j + 1;
@@ -257,40 +262,60 @@ void Engine::publish_progress() {
 bool Engine::propagate(const Deadline& deadline) {
   obs::PhaseScope phase(&stats_.phases, obs::Phase::kPropagate);
   Timer t;
-  // Propagation boundary: strategies clear their failure tables (paper
-  // line 44) and the dynamic meta-strategy evaluates its switching policy.
+  // Propagation boundary: the dynamic meta-strategy evaluates its
+  // switching policy.
   generalizer_.on_propagate();
+  CtpStore& ctps = frames_.ctps();
   bool fixpoint = false;
   for (std::size_t i = 1; i < frames_.top_level() && !fixpoint; ++i) {
-    const std::vector<Cube> snapshot = frames_.delta(i);
-    for (const Cube& c : snapshot) {
+    // R_i stays the same formula throughout this walk: a push from i only
+    // re-installs a clause R_i already holds one level up.  So a lemma at
+    // position < n (its push failed, with a model in R_i) is never
+    // displaced by a later push of a stronger lemma — that model would
+    // defeat the stronger lemma's push too — and after a push the next
+    // unvisited lemma sits at position n.
+    for (std::size_t n = 0; n < frames_.delta(i).size();) {
       if (cancel_ != nullptr && cancel_->stop_requested()) throw TimeoutError{};
-      // The lemma may have been subsumed by a previous push in this pass.
-      const auto& bucket = frames_.delta(i);
-      if (std::find(bucket.begin(), bucket.end(), c) == bucket.end()) {
+      const Cube& c = frames_.delta(i)[n];
+      if (ctps.witness_holds(c, i)) {
+        // The stored CTP still satisfies R_i, so the push would fail again.
+        assert(pred_satisfies_frame(ctps.find(c, i)->pred, i));
+        ++stats_.num_push_skips;
+        ++n;
         continue;
       }
       ++stats_.num_push_queries;
-      if (solvers_.relative_inductive(c, i, /*cube_clause_in_frame=*/true,
-                                      nullptr, deadline)) {
-        frames_.remove_lemma(c, i);
-        if (frames_.add_lemma(c, i + 1)) {
-          solvers_.add_lemma_clause(c, i + 1);
-          // A push strengthens R_{i+1} (the clause moves up a frame), so
-          // frame-dependent strategy caches must hear about it too.
-          generalizer_.on_lemma(c, i + 1);
-        }
-        ++stats_.num_push_successes;
-      } else if (generalizer_.wants_push_failures()) {
+      if (!solvers_.relative_inductive(c, i, /*cube_clause_in_frame=*/true,
+                                       nullptr, deadline)) {
         // Record the counterexample to propagation (paper lines 49-50).
-        generalizer_.on_push_failure(
-            c, i, solvers_.model_state(/*primed=*/true));
+        ctps.record(c, i, solvers_.model_state(/*primed=*/false),
+                    solvers_.model_state(/*primed=*/true));
+        ++n;
+        continue;
+      }
+      ++stats_.num_push_successes;
+      const Cube pushed = c;  // push_lemma moves `c` out of delta(i)
+      if (frames_.push_lemma(i, n)) {
+        solvers_.add_lemma_clause(pushed, i + 1);
+        // A push strengthens R_{i+1} (the clause moves up a frame), so
+        // frame-dependent strategy caches must hear about it too.
+        generalizer_.on_lemma(pushed, i + 1);
       }
     }
     if (frames_.delta(i).empty()) fixpoint = true;
   }
+  ctps.compact();
   stats_.time_propagate += t.seconds();
   return fixpoint;
+}
+
+bool Engine::pred_satisfies_frame(const Cube& pred, std::size_t level) const {
+  for (std::size_t j = level; j <= frames_.top_level(); ++j) {
+    for (const Cube& d : frames_.delta(j)) {
+      if (CtpStore::may_intersect(pred, d)) return false;
+    }
+  }
+  return true;
 }
 
 Trace Engine::build_trace(int leaf_index) const {

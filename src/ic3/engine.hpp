@@ -68,6 +68,9 @@ class Engine {
     return queue_.size();
   }
 
+  /// The frame sequence (with its CTP store) as the last check() left it.
+  [[nodiscard]] const Frames& frames() const { return frames_; }
+
  private:
   struct Obligation {
     Cube cube;
@@ -82,8 +85,16 @@ class Engine {
   /// reached the initial states (cex_leaf_ set).
   bool block(int root_index, const Deadline& deadline);
 
-  void add_lemma(const Cube& cube, std::size_t level);
+  /// Installs a lemma into frames, solver and strategy caches; false when
+  /// an existing lemma already subsumes it.
+  bool add_lemma(const Cube& cube, std::size_t level);
+  /// Pushes every lemma as high as it goes, skipping pushes whose stored
+  /// CTP still holds (ctp_store.hpp); true at a fixpoint.
   bool propagate(const Deadline& deadline);
+  /// Full-scan form of CtpStore::witness_holds, for debug assertions: true
+  /// when `pred` falsifies a literal of every lemma in R_level.
+  [[nodiscard]] bool pred_satisfies_frame(const Cube& pred,
+                                          std::size_t level) const;
   /// Polls Config::lemma_bus (when set) and installs every peer lemma that
   /// survives one relative-induction validation query; called at each
   /// propagation boundary.

@@ -16,28 +16,32 @@ bool Frames::add_lemma(const Cube& cube, std::size_t level,
       }
     }
   }
-  // Drop existing lemmas at level ≤ `level` that the new one subsumes.
+  // Drop existing lemmas at level ≤ `level` that the new one subsumes,
+  // together with their stored CTPs.
   std::size_t removed = 0;
   for (std::size_t j = 1; j <= level; ++j) {
     auto& bucket = delta_[j];
     const auto new_end =
         std::remove_if(bucket.begin(), bucket.end(), [&](const Cube& d) {
-          return cube.subset_of(d);
+          if (!cube.subset_of(d)) return false;
+          ctps_.erase(d, j);
+          return true;
         });
     removed += static_cast<std::size_t>(bucket.end() - new_end);
     bucket.erase(new_end, bucket.end());
   }
   delta_[level].push_back(cube);
+  ctps_.log_install(cube, level);
   if (removed_count != nullptr) *removed_count = removed;
   return true;
 }
 
-bool Frames::remove_lemma(const Cube& cube, std::size_t level) {
+bool Frames::push_lemma(std::size_t level, std::size_t index) {
   auto& bucket = delta_[level];
-  const auto it = std::find(bucket.begin(), bucket.end(), cube);
-  if (it == bucket.end()) return false;
-  bucket.erase(it);
-  return true;
+  const Cube cube = std::move(bucket[index]);
+  bucket.erase(bucket.begin() + static_cast<std::ptrdiff_t>(index));
+  ctps_.erase(cube, level);
+  return add_lemma(cube, level + 1);
 }
 
 bool Frames::subsumed_at(const Cube& cube, std::size_t level) const {

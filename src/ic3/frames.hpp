@@ -10,11 +10,16 @@
 /// Subsumption is maintained on insertion: a lemma (cube c, level i)
 /// subsumes (cube d, level j) iff c ⊆ d and i ≥ j (smaller cube = stronger
 /// clause; higher level = holds in more frames).
+///
+/// The frames also own the CTP store (ctp_store.hpp) and keep it in step
+/// with the lemmas: every install is logged into it, and a lemma that
+/// leaves its level takes its stored counterexample to propagation along.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "ic3/ctp_store.hpp"
 #include "ic3/cube.hpp"
 
 namespace pilot::ic3 {
@@ -39,8 +44,11 @@ class Frames {
   bool add_lemma(const Cube& cube, std::size_t level,
                  std::size_t* removed_count = nullptr);
 
-  /// Removes a lemma from delta(level); returns false if not present.
-  bool remove_lemma(const Cube& cube, std::size_t level);
+  /// A successful push: moves delta(level)[index] to level+1 through
+  /// add_lemma (same subsumption rules).  Returns false when a lemma at
+  /// level+1 or above already subsumes it; it then just leaves
+  /// delta(level).  The order of the remaining lemmas is kept.
+  bool push_lemma(std::size_t level, std::size_t index);
 
   /// True iff some lemma with top level ≥ `level` blocks `cube`
   /// (i.e. its cube is a subset of `cube`, Theorem 3.4).
@@ -54,8 +62,14 @@ class Frames {
   /// Total number of stored lemmas.
   [[nodiscard]] std::size_t total_lemmas() const;
 
+  /// Counterexamples to propagation of the current lemmas, shared by
+  /// propagation and lemma prediction.
+  [[nodiscard]] CtpStore& ctps() { return ctps_; }
+  [[nodiscard]] const CtpStore& ctps() const { return ctps_; }
+
  private:
   std::vector<std::vector<Cube>> delta_;
+  CtpStore ctps_;
 };
 
 }  // namespace pilot::ic3

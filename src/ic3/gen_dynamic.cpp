@@ -92,20 +92,7 @@ Cube DynamicStrategy::generalize(const Cube& cube, const Cube& core,
                                           add_lemma);
 }
 
-void DynamicStrategy::on_push_failure(const Cube& lemma, std::size_t level,
-                                      Cube ctp) {
-  // Every candidate gets the CTP: the predictor needs its table current
-  // even while another strategy is active, so a switch-to-predict starts
-  // with fresh parents instead of an empty table.
-  for (auto& c : candidates_) {
-    if (c->wants_push_failures()) c->on_push_failure(lemma, level, ctp);
-  }
-}
-
-void DynamicStrategy::on_propagate() {
-  for (auto& c : candidates_) c->on_propagate();
-  (void)evaluate_switch();
-}
+void DynamicStrategy::on_propagate() { (void)evaluate_switch(); }
 
 void DynamicStrategy::on_lemma(const Cube& lemma, std::size_t level) {
   // Every candidate keeps its own frame-dependent caches current, not just

@@ -51,9 +51,6 @@ class DynamicStrategy final : public GenStrategy {
                   const Deadline& deadline,
                   const AddLemmaFn& add_lemma) override;
 
-  [[nodiscard]] bool wants_push_failures() const override { return true; }
-  void on_push_failure(const Cube& lemma, std::size_t level,
-                       Cube ctp) override;
   void on_propagate() override;
   void on_lemma(const Cube& lemma, std::size_t level) override;
   void on_blocking_cti(const Cube& state, const std::vector<Lit>& inputs,

@@ -356,19 +356,6 @@ class PredictStrategy final : public GenStrategy {
     return fallback_.generalize(cube, core, level, deadline, add_lemma);
   }
 
-  [[nodiscard]] bool wants_push_failures() const override { return true; }
-
-  void on_push_failure(const Cube& lemma, std::size_t level,
-                       Cube ctp) override {
-    predictor_.record_push_failure(lemma, level, std::move(ctp));
-  }
-
-  void on_propagate() override {
-    if (ctx_.cfg.clear_failure_push_on_propagate) {
-      predictor_.clear();  // paper line 44: reconstruct the hash table
-    }
-  }
-
   void on_lemma(const Cube& lemma, std::size_t level) override {
     fallback_.on_lemma(lemma, level);
   }

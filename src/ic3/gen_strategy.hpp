@@ -76,23 +76,8 @@ class GenStrategy {
                           std::size_t level, const Deadline& deadline,
                           const AddLemmaFn& add_lemma) = 0;
 
-  /// True when the strategy consumes counterexamples to propagation; the
-  /// engine skips the (cheap but nonzero) successor-model extraction for
-  /// strategies that would discard it.
-  [[nodiscard]] virtual bool wants_push_failures() const { return false; }
-
-  /// A push of `lemma` from `level` failed; `ctp` is the witnessing
-  /// successor state (over current-step variables).
-  virtual void on_push_failure(const Cube& lemma, std::size_t level,
-                               Cube ctp) {
-    (void)lemma;
-    (void)level;
-    (void)ctp;
-  }
-
-  /// Called once at every propagation boundary, before the pushes.  The
-  /// predictor clears its failure table here (paper line 44); "dynamic"
-  /// additionally evaluates its switching policy.
+  /// Called once at every propagation boundary, before the pushes;
+  /// "dynamic" evaluates its switching policy here.
   virtual void on_propagate() {}
 
   /// A lemma (the clause ¬`lemma`) was installed into the frames at

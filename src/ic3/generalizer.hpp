@@ -41,18 +41,7 @@ class Generalizer {
     return generalize(cube, cube, level, deadline, add_lemma);
   }
 
-  /// True when the active strategy consumes counterexamples to
-  /// propagation — the engine extracts the successor model only then.
-  [[nodiscard]] bool wants_push_failures() const {
-    return strategy_->wants_push_failures();
-  }
-
-  /// Forwards a failed push (lemma, level, CTP successor state).
-  void on_push_failure(const Cube& lemma, std::size_t level, Cube ctp) {
-    strategy_->on_push_failure(lemma, level, std::move(ctp));
-  }
-
-  /// Propagation-boundary hook: table clears, dynamic strategy switching.
+  /// Propagation-boundary hook: dynamic strategy switching.
   void on_propagate() { strategy_->on_propagate(); }
 
   /// Lemma-install hook: the engine reports every clause that lands in the

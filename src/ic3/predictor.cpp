@@ -8,13 +8,6 @@ Predictor::Predictor(SolverManager& solvers, Frames& frames,
                      const Config& cfg, Ic3Stats& stats)
     : solvers_(solvers), frames_(frames), cfg_(cfg), stats_(stats) {}
 
-void Predictor::record_push_failure(const Cube& lemma, std::size_t level,
-                                    Cube t) {
-  failure_push_[CubeLevelKey{lemma, level}] = std::move(t);
-}
-
-void Predictor::clear() { failure_push_.clear(); }
-
 std::optional<Cube> Predictor::predict(const Cube& b, std::size_t level,
                                        const Deadline& deadline) {
   if (level < 1) return std::nullopt;
@@ -23,12 +16,10 @@ std::optional<Cube> Predictor::predict(const Cube& b, std::size_t level,
   bool found_failed_parent = false;
   std::optional<Cube> predicted;
   for (const Cube& p : parents) {
-    if (failure_push_.find(CubeLevelKey{p, level - 1}) ==
-        failure_push_.end()) {
-      continue;  // lines 12-13: no recorded CTP for this parent
-    }
+    const CtpStore::Entry* ctp = frames_.ctps().find(p, level - 1);
+    if (ctp == nullptr) continue;  // lines 12-13: no recorded CTP
     found_failed_parent = true;
-    predicted = try_parent(b, p, level, deadline);
+    predicted = try_parent(b, p, ctp->succ, level, deadline);
     if (predicted.has_value()) break;
   }
   if (found_failed_parent) ++stats_.num_found_failed_parents;  // N_fp
@@ -36,10 +27,8 @@ std::optional<Cube> Predictor::predict(const Cube& b, std::size_t level,
 }
 
 std::optional<Cube> Predictor::try_parent(const Cube& b, const Cube& p,
-                                          std::size_t level,
+                                          const Cube& t, std::size_t level,
                                           const Deadline& deadline) {
-  const CubeLevelKey key{p, level - 1};
-  const Cube& t = failure_push_.at(key);
   Cube ds = b.diff(t);  // line 15: diff set of Definition 3.1
 
   if (ds.empty()) {
@@ -53,7 +42,9 @@ std::optional<Cube> Predictor::try_parent(const Cube& b, const Cube& p,
       ++stats_.num_successful_predictions;  // N_sp
       return cfg_.predict_core_shrink ? core : p;
     }
-    failure_push_[key] = solvers_.model_state(/*primed=*/true);  // line 20
+    // Line 20: the fresh CTP replaces the stored one, which `t` aliases.
+    frames_.ctps().record(p, level - 1, solvers_.model_state(/*primed=*/false),
+                          solvers_.model_state(/*primed=*/true));
     return std::nullopt;
   }
 

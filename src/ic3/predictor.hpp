@@ -4,8 +4,9 @@
 ///
 /// When pushing the lemma ¬p from F_{i} to F_{i+1} fails, the SAT model
 /// exhibits a counterexample to propagation (CTP): a successor state t with
-/// t ⊨ p.  The failed push is recorded in the `failure_push` table keyed by
-/// (lemma, level).
+/// t ⊨ p.  The paper's `failure_push` table keyed by (lemma, level) is the
+/// frames' CtpStore (ctp_store.hpp), which propagation fills and reuses to
+/// skip pushes that would fail again.
 ///
 /// Later, when a cube b must be generalized at level i, each parent lemma
 /// p ⊆ b of frame i-1 with a recorded CTP t yields a *predicted* lemma:
@@ -18,7 +19,6 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 
 #include "ic3/config.hpp"
 #include "ic3/cube.hpp"
@@ -34,18 +34,6 @@ class Predictor {
   Predictor(SolverManager& solvers, Frames& frames, const Config& cfg,
             Ic3Stats& stats);
 
-  /// Records the CTP successor state `t` of a failed push of `lemma` at
-  /// `level` (overwrites any previous entry — the latest CTP is freshest).
-  void record_push_failure(const Cube& lemma, std::size_t level, Cube t);
-
-  /// Drops every recorded failure (paper: the table is cleared and
-  /// reconstructed at each propagation).
-  void clear();
-
-  [[nodiscard]] std::size_t table_size() const {
-    return failure_push_.size();
-  }
-
   /// Attempts to predict a lemma blocking cube `b` at `level` without
   /// dropping variables.  Returns the validated cube on success.
   /// Updates the paper's N_p / N_sp / N_fp counters.
@@ -54,13 +42,13 @@ class Predictor {
 
  private:
   std::optional<Cube> try_parent(const Cube& b, const Cube& p,
-                                 std::size_t level, const Deadline& deadline);
+                                 const Cube& t, std::size_t level,
+                                 const Deadline& deadline);
 
   SolverManager& solvers_;
   Frames& frames_;
   const Config& cfg_;
   Ic3Stats& stats_;
-  std::unordered_map<CubeLevelKey, Cube, CubeLevelKeyHash> failure_push_;
 };
 
 }  // namespace pilot::ic3

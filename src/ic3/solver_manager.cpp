@@ -134,13 +134,20 @@ void SolverManager::batch_ensure_level(std::size_t k) {
   }
 }
 
-void SolverManager::build_batch_solver(const Frames& frames) {
+void SolverManager::build_batch_solver(const Frames& frames,
+                                       std::size_t min_copies) {
   if (batch_solver_) retired_sat_stats_ += batch_solver_->stats();
   batch_solver_ = std::make_unique<sat::Solver>();
   batch_solver_->set_seed(cfg_.seed);
   batch_solver_->set_trail_reuse(cfg_.sat_trail_reuse);
   batch_solver_->set_inprocess(cfg_.sat_inprocess);
-  batch_copies_ = static_cast<std::size_t>(std::max(2, cfg_.gen_batch));
+  // As many copies as the widest group the drop loop can request (the
+  // adaptive width ranges up to gen_batch_max), so later probes never
+  // outgrow the solver.
+  batch_copies_ = std::max(
+      min_copies, static_cast<std::size_t>(std::max(
+                      {2, cfg_.gen_batch,
+                       cfg_.gen_batch_adaptive ? cfg_.gen_batch_max : 0})));
   batch_retired_tmp_ = 0;
   const auto stride = static_cast<Var>(ts_.num_encoding_vars());
   for (std::size_t i = 0; i < batch_copies_; ++i) {
@@ -186,7 +193,7 @@ bool SolverManager::batch_drop_probe(const Cube& cube,
   obs::PhaseScope phase(&stats_.phases, obs::Phase::kSatSolve);
   if (!batch_solver_ || batch_retired_tmp_ >= cfg_.rebuild_tmp_threshold ||
       group.size() > batch_copies_) {
-    build_batch_solver(frames);
+    build_batch_solver(frames, group.size());
   }
   batch_ensure_level(level);
   const auto stride = static_cast<Var>(ts_.num_encoding_vars());

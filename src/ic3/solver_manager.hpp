@@ -90,8 +90,8 @@ class SolverManager {
   };
 
   /// Batched generalization probe: ONE solve answering the single-drop
-  /// query of EVERY group member at once.  The batch solver holds
-  /// Config::gen_batch variable-disjoint copies of R ∧ T (see
+  /// query of EVERY group member at once.  The batch solver holds one
+  /// variable-disjoint copy of R ∧ T per possible group member (see
   /// TransitionSystem::install_shifted); copy i adds the temporary clause
   /// ¬(cube\mᵢ) and assumes (cube\mᵢ)′, so the conjunction is satisfiable
   /// iff every member's query is.  SAT (returns false) therefore proves NO
@@ -139,7 +139,8 @@ class SolverManager {
   void carry_solver_state(const sat::Solver& old,
                           const std::vector<Var>& old_acts);
   Cube shrink_with_core(const Cube& c) const;
-  void build_batch_solver(const Frames& frames);
+  /// (Re)builds the batch solver with at least `min_copies` copies.
+  void build_batch_solver(const Frames& frames, std::size_t min_copies);
   void batch_ensure_level(std::size_t k);
   /// Initiation repair shared by the core shrinkers: if `shrunk` touches I,
   /// restore one literal of `full` that contradicts the initial cube.
@@ -152,7 +153,8 @@ class SolverManager {
   std::vector<Var> act_vars_;
   std::size_t retired_tmp_ = 0;
   sat::SolverStats retired_sat_stats_;
-  // Batch-probe solver: Config::gen_batch variable-disjoint copies of R ∧ T
+  // Batch-probe solver: variable-disjoint copies of R ∧ T (the widest group
+  // the configuration can request: gen_batch, or gen_batch_max adaptively)
   // sharing one set of activation guards.  Built lazily from the frames on
   // the first probe, dropped on rebuild() and when its throwaway temporary
   // clauses exceed the rebuild threshold.

@@ -82,7 +82,10 @@ std::string Ic3Stats::summary() const {
   oss << "frames=" << max_frame << " lemmas=" << num_lemmas
       << " obligations=" << num_obligations << " ctis=" << num_ctis
       << " generalizations=" << num_generalizations
-      << " mic_queries=" << num_mic_queries << " drops=" << num_mic_drops;
+      << " mic_queries=" << num_mic_queries << " drops=" << num_mic_drops
+      << " push_queries=" << num_push_queries
+      << " push_successes=" << num_push_successes
+      << " push_skips=" << num_push_skips;
   if (num_prediction_queries > 0 || num_found_failed_parents > 0) {
     oss << " | predict: N_p=" << num_prediction_queries
         << " N_sp=" << num_successful_predictions

@@ -81,8 +81,11 @@ struct Ic3Stats {
   std::uint64_t num_ctis = 0;
   std::uint64_t num_mic_queries = 0;       // SAT queries spent dropping vars
   std::uint64_t num_mic_drops = 0;         // literals successfully dropped
-  std::uint64_t num_push_queries = 0;
+  std::uint64_t num_push_queries = 0;      // push solves actually issued
   std::uint64_t num_push_successes = 0;
+  /// Pushes skipped without a solve because the lemma's stored CTP still
+  /// satisfies its frame (ctp_store.hpp); not counted in num_push_queries.
+  std::uint64_t num_push_skips = 0;
   std::uint64_t num_ctg_blocked = 0;
   std::uint64_t num_solver_rebuilds = 0;
   std::uint64_t num_subsumed_lemmas = 0;

@@ -5,6 +5,7 @@
 
 #include <thread>
 
+#include "cert/certificate.hpp"
 #include "circuits/families.hpp"
 #include "ic3/engine.hpp"
 #include "ts/transition_system.hpp"
@@ -201,6 +202,38 @@ TEST(Engine, PredictionStatisticsAreConsistent) {
   EXPECT_LE(s.sr_lp(), 1.0);
   EXPECT_LE(s.sr_adv(), s.sr_fp() + 1e-9)
       << "a successful prediction requires a found parent";
+}
+
+// Propagation skips pushes whose stored CTP still satisfies the frame.  On a
+// wrap counter nearly every lemma fails its push at most levels, so skips
+// must occur; the proof must still certify, and the CTP store may hold at
+// most one entry per live lemma, each keyed by the lemma's own level.
+TEST(Engine, PropagationSkipsPushesWithLiveCtps) {
+  for (const char* spec : {"down", "predict"}) {
+    const circuits::CircuitCase cc = circuits::counter_wrap_safe(6, 32, 60);
+    const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
+    Config cfg;
+    cfg.gen_spec = spec;
+    Engine engine(ts, cfg);
+    const Result r = engine.check();
+    ASSERT_EQ(r.verdict, Verdict::kSafe) << spec;
+    EXPECT_GT(r.stats.num_push_skips, 0u) << spec;
+    std::string why;
+    const auto cert = cert::from_verdict(ts, r.verdict, r.invariant, r.trace,
+                                         0, false, 0, &why);
+    ASSERT_TRUE(cert.has_value()) << spec << ": " << why;
+    EXPECT_TRUE(cert::check(ts, *cert).ok) << spec;
+
+    const Frames& frames = engine.frames();
+    std::size_t live_entries = 0;
+    for (std::size_t i = 1; i <= frames.top_level(); ++i) {
+      for (const Cube& c : frames.delta(i)) {
+        live_entries += frames.ctps().find(c, i) != nullptr ? 1 : 0;
+      }
+    }
+    EXPECT_LE(frames.ctps().size(), frames.total_lemmas()) << spec;
+    EXPECT_EQ(live_entries, frames.ctps().size()) << spec;
+  }
 }
 
 TEST(Engine, NoPredictionStatsWhenDisabled) {

@@ -92,27 +92,22 @@ TEST(Frames, ParentsOfMatchesAlgorithm2) {
   EXPECT_TRUE(f.parents_of(b, 7).empty());
 }
 
-TEST(Frames, RemoveLemma) {
-  Frames f;
-  f.ensure_level(2);
-  const Cube c = Cube::from_lits({pos(1), pos(2)});
-  ASSERT_TRUE(f.add_lemma(c, 1));
-  EXPECT_TRUE(f.remove_lemma(c, 1));
-  EXPECT_FALSE(f.remove_lemma(c, 1));  // already gone
-  EXPECT_EQ(f.total_lemmas(), 0u);
-}
-
-TEST(Frames, PushPatternMovesLemmaUp) {
-  // Simulates propagation: remove at i, add at i+1.
+TEST(Frames, PushLemmaMovesLemmaUp) {
   Frames f;
   f.ensure_level(3);
   const Cube c = Cube::from_lits({pos(4), neg(5)});
+  const Cube d = Cube::from_lits({pos(1)});
   ASSERT_TRUE(f.add_lemma(c, 1));
-  ASSERT_TRUE(f.remove_lemma(c, 1));
-  ASSERT_TRUE(f.add_lemma(c, 2));
-  EXPECT_TRUE(f.delta(1).empty());
+  ASSERT_TRUE(f.add_lemma(d, 1));
+  ASSERT_TRUE(f.push_lemma(1, 0));
+  ASSERT_EQ(f.delta(1).size(), 1u);
+  EXPECT_EQ(f.delta(1)[0], d);  // the rest keeps its order
   ASSERT_EQ(f.delta(2).size(), 1u);
-  // After the move, delta(1) empty signals R_1 = R_2 (fixpoint test hook).
+  EXPECT_EQ(f.delta(2)[0], c);
+  ASSERT_TRUE(f.push_lemma(1, 0));
+  // After the moves, delta(1) empty signals R_1 = R_2 (fixpoint test hook).
+  EXPECT_TRUE(f.delta(1).empty());
+  EXPECT_EQ(f.total_lemmas(), 2u);
 }
 
 }  // namespace

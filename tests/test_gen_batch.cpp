@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cert/certificate.hpp"
 #include "circuits/families.hpp"
 #include "ic3/engine.hpp"
 #include "ic3/solver_manager.hpp"
@@ -279,6 +280,41 @@ TEST(AdaptiveBatchWidth, VerdictsIdenticalAndNoSolveRegression) {
   EXPECT_LE(adaptive_solves * 10, fixed_solves * 11)
       << "adaptive=" << adaptive_solves << " fixed=" << fixed_solves
       << " — adaptive batch width regressed candidate-drop solves";
+}
+
+// Regression: adaptive widths range up to gen_batch_max, so the batch
+// solver must hold that many copies even when gen_batch is smaller.  Sized
+// from gen_batch alone, probes wider than gen_batch indexed copies that did
+// not exist — wrong verdicts (SAFE on counter_unsafe_8_255) and heap
+// corruption.  Every verdict must match the family and pass cert::check.
+TEST(AdaptiveBatchWidth, WiderThanGenBatchStaysCertified) {
+  std::vector<circuits::CircuitCase> cases;
+  cases.push_back(circuits::counter_unsafe(8, 255));
+  cases.push_back(circuits::counter_wrap_safe(5, 9, 31));
+  cases.push_back(circuits::counter_wrap_safe(6, 20, 50));
+  cases.push_back(circuits::token_ring_safe(5));
+  for (const char* spec : {"down", "cav23"}) {
+    for (const circuits::CircuitCase& cc : cases) {
+      const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
+      Config cfg;
+      cfg.gen_spec = spec;
+      cfg.gen_batch = 2;
+      cfg.gen_batch_max = 8;
+      cfg.gen_batch_adaptive = true;
+      Engine engine(ts, cfg);
+      const Result r = engine.check(Deadline::in_seconds(300));
+      ASSERT_EQ(r.verdict,
+                cc.expected_safe ? Verdict::kSafe : Verdict::kUnsafe)
+          << spec << " " << cc.name;
+      std::string why;
+      const auto cert = cert::from_verdict(ts, r.verdict, r.invariant,
+                                           r.trace, 0, false, 0, &why);
+      ASSERT_TRUE(cert.has_value()) << spec << " " << cc.name << ": " << why;
+      const CheckOutcome outcome = cert::check(ts, *cert);
+      EXPECT_TRUE(outcome.ok)
+          << spec << " " << cc.name << ": " << outcome.reason;
+    }
+  }
 }
 
 }  // namespace

@@ -327,6 +327,9 @@ TEST(PhaseReport, AggregatesPerEngine) {
     row.record.engine = engine;
     row.record.solved = solved;
     row.record.seconds = seconds;
+    row.record.stats.num_push_queries = 10;
+    row.record.stats.num_push_successes = 4;
+    row.record.stats.num_push_skips = 30;
     if (block_secs > 0.0) {
       row.record.stats.phases.add(obs::Phase::kBlock, block_secs, 1);
     }
@@ -344,11 +347,16 @@ TEST(PhaseReport, AggregatesPerEngine) {
   EXPECT_EQ(rows[0].solved, 1u);
   EXPECT_DOUBLE_EQ(rows[0].total_seconds, 3.0);
   EXPECT_DOUBLE_EQ(rows[0].phases.seconds_of(obs::Phase::kBlock), 1.5);
+  EXPECT_EQ(rows[0].push_queries, 20u);
+  EXPECT_EQ(rows[0].push_successes, 8u);
+  EXPECT_EQ(rows[0].push_skips, 60u);
   EXPECT_EQ(rows[1].engine, "bmc");
   EXPECT_TRUE(rows[1].phases.empty());
 
   const std::string report = corpus::render_phase_report(rows);
   EXPECT_NE(report.find("ic3-ctg: 1/2 solved"), std::string::npos);
+  EXPECT_NE(report.find("push_queries=20 push_successes=8 push_skips=60"),
+            std::string::npos);
   EXPECT_NE(report.find("block"), std::string::npos);
   EXPECT_NE(report.find("no phase data"), std::string::npos);
 }

@@ -1,6 +1,7 @@
-/// Predictor tests: the failure_push table, parent discovery, the diff-set
-/// candidate construction of Equation 6, the empty-diff "push the parent"
-/// path, counter updates (N_p / N_sp / N_fp), and table clearing.
+/// Predictor tests: the failure_push table (the frames' CTP store), parent
+/// discovery, the diff-set candidate construction of Equation 6, the
+/// empty-diff "push the parent" path, counter updates (N_p / N_sp / N_fp),
+/// and CTPs leaving with their lemma.
 #include <gtest/gtest.h>
 
 #include "circuits/families.hpp"
@@ -34,6 +35,13 @@ struct PredictorFixture {
   void install_lemma(const Cube& c, std::size_t level) {
     ASSERT_TRUE(frames.add_lemma(c, level));
     solvers.add_lemma_clause(c, level);
+  }
+
+  /// Stores a CTP of lemma `p` at `level` whose successor is the count
+  /// `succ` (the predictor reads only the successor; the predecessor is
+  /// left empty, which never passes a witness check).
+  void record_ctp(const Cube& p, std::size_t level, std::uint64_t succ) {
+    frames.ctps().record(p, level, Cube{}, state_cube(succ));
   }
 
   circuits::CircuitCase cc;
@@ -70,7 +78,7 @@ TEST(Predictor, EmptyDiffPushesParentSuccessfully) {
   const Cube p = Cube::from_lits({Lit::make(f.ts.state_var(2))});
   f.install_lemma(p, 1);
   // Record a fake CTP t that intersects b = {count=6}: diff(b, t) = ∅.
-  f.predictor.record_push_failure(p, 1, f.state_cube(6));
+  f.record_ctp(p, 1, 6);
   const auto result = f.predictor.predict(f.state_cube(6), 2, Deadline{});
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(*result, p);  // the parent itself is the predicted lemma
@@ -86,13 +94,21 @@ TEST(Predictor, EmptyDiffFailedPushRefreshesCtp) {
   const Cube p = Cube::from_lits(
       {Lit::make(f.ts.state_var(1)), Lit::make(f.ts.state_var(2))});
   f.install_lemma(p, 1);
-  f.predictor.record_push_failure(p, 1, f.state_cube(6));
+  f.record_ctp(p, 1, 6);
   // b = {count=6} = {bit0=0,bit1=1,bit2=1}; t = same state → empty diff.
   const auto result = f.predictor.predict(f.state_cube(6), 2, Deadline{});
   EXPECT_FALSE(result.has_value());
   EXPECT_EQ(f.stats.num_prediction_queries, 1u);
   EXPECT_EQ(f.stats.num_successful_predictions, 0u);
   EXPECT_EQ(f.stats.num_found_failed_parents, 1u);  // parent was found
+  // Line 20: the failed re-push replaced the stored CTP with its own model,
+  // whose predecessor lies in R_1 (outside p) and whose successor in p.
+  const CtpStore::Entry* ctp = f.frames.ctps().find(p, 1);
+  ASSERT_NE(ctp, nullptr);
+  EXPECT_EQ(ctp->pred.size(), f.ts.num_latches());
+  EXPECT_FALSE(CtpStore::may_intersect(ctp->pred, p));
+  EXPECT_TRUE(p.subset_of(ctp->succ));
+  EXPECT_EQ(f.frames.ctps().size(), 1u);
 }
 
 TEST(Predictor, DiffSetCandidateValidatesEquation6) {
@@ -106,7 +122,7 @@ TEST(Predictor, DiffSetCandidateValidatesEquation6) {
   // So every predecessor into the candidate is blocked by ¬p: inductive.
   const Cube p = Cube::from_lits({Lit::make(f.ts.state_var(2))});
   f.install_lemma(p, 1);
-  f.predictor.record_push_failure(p, 1, f.state_cube(5));
+  f.record_ctp(p, 1, 5);
 
   const Cube b = f.state_cube(6);
   const auto result = f.predictor.predict(b, 2, Deadline{});
@@ -118,15 +134,16 @@ TEST(Predictor, DiffSetCandidateValidatesEquation6) {
   EXPECT_GE(f.stats.num_successful_predictions, 1u);
 }
 
-TEST(Predictor, ClearDropsAllEntries) {
+TEST(Predictor, CtpLeavesWithItsPushedParent) {
   PredictorFixture f;
   const Cube p = Cube::from_lits({Lit::make(f.ts.state_var(2))});
   f.install_lemma(p, 1);
-  f.predictor.record_push_failure(p, 1, f.state_cube(6));
-  EXPECT_EQ(f.predictor.table_size(), 1u);
-  f.predictor.clear();
-  EXPECT_EQ(f.predictor.table_size(), 0u);
-  // After clearing, the parent behaves as if it never failed (lines 12-13).
+  f.record_ctp(p, 1, 6);
+  EXPECT_EQ(f.frames.ctps().size(), 1u);
+  // The parent moves to level 2: its level-1 CTP goes with it, and the
+  // parent behaves as if it never failed (lines 12-13).
+  ASSERT_TRUE(f.frames.push_lemma(1, 0));
+  EXPECT_EQ(f.frames.ctps().size(), 0u);
   const auto result = f.predictor.predict(f.state_cube(6), 2, Deadline{});
   EXPECT_FALSE(result.has_value());
   EXPECT_EQ(f.stats.num_found_failed_parents, 0u);
@@ -135,12 +152,13 @@ TEST(Predictor, ClearDropsAllEntries) {
 TEST(Predictor, RecordOverwritesWithFreshestCtp) {
   PredictorFixture f;
   const Cube p = Cube::from_lits({Lit::make(f.ts.state_var(2))});
-  f.predictor.record_push_failure(p, 1, f.state_cube(5));
-  f.predictor.record_push_failure(p, 1, f.state_cube(7));
-  EXPECT_EQ(f.predictor.table_size(), 1u);  // keyed by (lemma, level)
+  f.record_ctp(p, 1, 5);
+  f.record_ctp(p, 1, 7);
+  EXPECT_EQ(f.frames.ctps().size(), 1u);  // keyed by (lemma, level)
+  EXPECT_EQ(f.frames.ctps().find(p, 1)->succ, f.state_cube(7));
   // Different level = different entry.
-  f.predictor.record_push_failure(p, 2, f.state_cube(5));
-  EXPECT_EQ(f.predictor.table_size(), 2u);
+  f.record_ctp(p, 2, 5);
+  EXPECT_EQ(f.frames.ctps().size(), 2u);
 }
 
 TEST(Predictor, PredictedLemmaBlocksTheObligationCube) {
@@ -150,7 +168,7 @@ TEST(Predictor, PredictedLemmaBlocksTheObligationCube) {
   PredictorFixture f;
   const Cube p = Cube::from_lits({Lit::make(f.ts.state_var(2))});
   f.install_lemma(p, 1);
-  f.predictor.record_push_failure(p, 1, f.state_cube(5));
+  f.record_ctp(p, 1, 5);
   const Cube b = f.state_cube(6);
   const auto result = f.predictor.predict(b, 2, Deadline{});
   ASSERT_TRUE(result.has_value());

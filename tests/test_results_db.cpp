@@ -48,6 +48,15 @@ RunRow make_row(const std::string& case_name, const std::string& engine,
   row.record.stats.num_generalizations = 42;
   row.record.stats.num_prediction_queries = 17;
   row.record.stats.num_successful_predictions = 9;
+  row.record.stats.num_push_queries = 31;
+  row.record.stats.num_push_successes = 12;
+  row.record.stats.num_push_skips = 55;
+  row.record.stats.num_ctis = 8;
+  row.record.stats.num_blocked_cubes = 6;
+  row.record.stats.num_mic_drops = 21;
+  row.record.stats.num_ctg_blocked = 3;
+  row.record.stats.num_subsumed_lemmas = 4;
+  row.record.stats.num_rebuild_carried_phases = 77;
   row.record.stats.max_frame = 7;
   row.context.corpus = "suite:tiny";
   row.context.commit = "deadbeef";
@@ -73,12 +82,44 @@ TEST(ResultsDb, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(back.record.stats.num_generalizations, 42u);
   EXPECT_EQ(back.record.stats.num_prediction_queries, 17u);
   EXPECT_EQ(back.record.stats.num_successful_predictions, 9u);
+  EXPECT_EQ(back.record.stats.num_push_queries, 31u);
+  EXPECT_EQ(back.record.stats.num_push_successes, 12u);
+  EXPECT_EQ(back.record.stats.num_push_skips, 55u);
+  EXPECT_EQ(back.record.stats.num_ctis, 8u);
+  EXPECT_EQ(back.record.stats.num_blocked_cubes, 6u);
+  EXPECT_EQ(back.record.stats.num_mic_drops, 21u);
+  EXPECT_EQ(back.record.stats.num_ctg_blocked, 3u);
+  EXPECT_EQ(back.record.stats.num_subsumed_lemmas, 4u);
+  EXPECT_EQ(back.record.stats.num_rebuild_carried_phases, 77u);
   EXPECT_EQ(back.record.stats.max_frame, 7u);
   EXPECT_EQ(back.context.corpus, "suite:tiny");
   EXPECT_EQ(back.context.commit, "deadbeef");
   EXPECT_EQ(back.context.timestamp, "2026-07-28T00:00:00Z");
   EXPECT_EQ(back.context.budget_ms, 2000);
   EXPECT_EQ(back.context.seed, 3u);
+}
+
+TEST(ResultsDb, EngineCountersAbsentFromOlderRowsReadAsZero) {
+  // A row written before the push/CTI/drop counters were persisted.
+  json::Object stats =
+      stats_to_json(make_row("old", "ic3-ctg", ic3::Verdict::kSafe, 0.5)
+                        .record.stats)
+          .as_object();
+  for (const char* field :
+       {"push_successes", "push_skips", "ctis", "blocked_cubes", "mic_drops",
+        "ctg_blocked", "subsumed_lemmas", "rebuild_carried_phases"}) {
+    ASSERT_EQ(stats.erase(field), 1u) << field;
+  }
+  const ic3::Ic3Stats back = stats_from_json(json::Value(std::move(stats)));
+  EXPECT_EQ(back.num_push_queries, 31u);
+  EXPECT_EQ(back.num_push_successes, 0u);
+  EXPECT_EQ(back.num_push_skips, 0u);
+  EXPECT_EQ(back.num_ctis, 0u);
+  EXPECT_EQ(back.num_blocked_cubes, 0u);
+  EXPECT_EQ(back.num_mic_drops, 0u);
+  EXPECT_EQ(back.num_ctg_blocked, 0u);
+  EXPECT_EQ(back.num_subsumed_lemmas, 0u);
+  EXPECT_EQ(back.num_rebuild_carried_phases, 0u);
 }
 
 TEST(ResultsDb, WriterAppendsAndLoadReadsBack) {
