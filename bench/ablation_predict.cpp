@@ -1,5 +1,5 @@
 /// \file ablation_predict.cpp
-/// Ablations for the design choices DESIGN.md calls out (not a paper table;
+/// Ablations for the predictor's design choices (not a paper table;
 /// supports the analysis in §4.3 and the future-work discussion):
 ///   A. diff-set refinement on failed candidates (line 27) vs naive retry
 ///   B. single-literal candidates (Eq. 6) vs up-to-two-literal extensions

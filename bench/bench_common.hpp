@@ -2,8 +2,8 @@
 /// Shared scaffolding for the experiment-reproduction binaries: flag
 /// parsing (suite size, per-case budget, parallelism, results-db sourcing)
 /// and run-matrix helpers.  Each bench binary reproduces one table or
-/// figure of the paper (see EXPERIMENTS.md for the index and the expected
-/// shapes).
+/// figure of the paper (see "Reproducing the paper's experiments" in
+/// README.md for the index).
 ///
 /// Record sourcing: by default a harness runs its (suite × engines) matrix
 /// inline, but `--db runs.jsonl` makes it aggregate rows from a results
@@ -51,7 +51,7 @@ inline bool parse_bench_args(int argc, const char* const* argv,
   std::string save_db;
   OptionParser parser(description);
   parser.add_choice("suite", &suite, {"tiny", "quick", "full"},
-                    "benchmark suite size (HWMCC substitute, see DESIGN.md)");
+                    "benchmark suite size (synthetic HWMCC substitute)");
   parser.add_int("budget-ms", &budget_ms,
                  "per-case wall-clock budget in milliseconds");
   parser.add_int("jobs", &jobs, "worker threads (0 = hardware concurrency)");

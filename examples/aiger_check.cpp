@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   parser.add_choice("engine", &engine,
                     {"ic3-down", "ic3-down-pl", "ic3-ctg", "ic3-ctg-pl",
                      "ic3-cav23", "pdr", "bmc", "kind"},
-                    "engine configuration (see DESIGN.md)");
+                    "engine configuration (see docs/ARCHITECTURE.md)");
   parser.add_int("budget-ms", &budget_ms, "wall-clock budget, 0 = unlimited");
   parser.add_int("property", &property, "property index (bad array / output)");
   parser.add_flag("verify-witness", &verify_witness,

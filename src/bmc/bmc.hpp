@@ -31,17 +31,13 @@ struct BmcResult {
   std::optional<Trace> trace;
   /// SAT-layer counters of the unrolling solver (campaigns record them).
   sat::SolverStats sat_stats;
-  /// Per-phase wall time (unroll / inprocess / solve).
+  /// Per-phase wall time (unroll / solve).
   obs::PhaseProfile phases;
 };
 
 struct BmcOptions {
   int max_bound = 1000;
   std::uint64_t seed = 0;
-  /// Failed-literal probing over each newly unrolled frame, plus a one-shot
-  /// binary-implication SCC sweep once the transition relation is present.
-  /// Verdict preserving; off for A/B comparison.
-  bool inprocess = true;
   /// Live-progress channel (non-owning; may be null). The bound search
   /// publishes the current k and SAT counters once per bound.
   obs::ProgressSink* progress = nullptr;

@@ -32,10 +32,6 @@ void add_state_disequality(sat::Solver& solver, const ts::Unroller& unroller,
   solver.add_clause(diff_bits);
 }
 
-/// Cap on failed-literal probes per newly unrolled frame (the solver's
-/// watermark already restricts each call to variables new since the last).
-constexpr std::size_t kProbesPerFrame = 4096;
-
 }  // namespace
 
 KindResult run_kinduction(const ts::TransitionSystem& ts,
@@ -69,14 +65,6 @@ KindResult run_kinduction(const ts::TransitionSystem& ts,
       obs::PhaseScope phase(&result.phases, obs::Phase::kUnroll);
       base.extend_to(k);
     }
-    if (options.inprocess) {
-      // One SCC sweep the first time a transition step is present (k == 1
-      // for the init-anchored base unrolling); probing is watermarked to
-      // the frame's new variables.  See the matching hook in run_bmc.
-      obs::PhaseScope phase(&result.phases, obs::Phase::kSatInprocess);
-      base_solver.probe_and_collapse(/*collapse_scc=*/k == 1,
-                                     kProbesPerFrame);
-    }
     if (options.progress != nullptr) {
       obs::ProgressSnapshot s;
       s.frames = static_cast<std::uint64_t>(k);
@@ -108,14 +96,6 @@ KindResult run_kinduction(const ts::TransitionSystem& ts,
           add_state_disequality(step_solver, step, ts, prev, k + 1);
         }
       }
-    }
-    if (options.inprocess) {
-      // The step unrolling has a transition at k == 0 already (frames 0→1);
-      // its SCC sweep therefore runs on the first bound.  Probing also
-      // covers the freshly added simple-path difference variables.
-      obs::PhaseScope phase(&result.phases, obs::Phase::kSatInprocess);
-      step_solver.probe_and_collapse(/*collapse_scc=*/k == 0,
-                                     kProbesPerFrame);
     }
     {
       obs::PhaseScope phase(&result.phases, obs::Phase::kSatSolve);

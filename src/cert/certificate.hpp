@@ -15,8 +15,8 @@
 ///    fires.
 ///
 /// `check()` deliberately runs a different solver configuration than the
-/// engines (trail reuse off, inprocessing off, perturbed seed with random
-/// decisions, and a two-frame Unroller encoding instead of the engines'
+/// engines (trail reuse off, perturbed seed with random decisions, and a
+/// two-frame Unroller encoding instead of the engines'
 /// SolverManager install) so a bug in the optimized hot path cannot vouch
 /// for itself.  Certificates serialize to a line-oriented text format over
 /// latch *indices*, which `TransitionSystem::from_aig` reproduces

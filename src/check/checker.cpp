@@ -106,7 +106,6 @@ CheckResult run_portfolio_backends(const ts::TransitionSystem& ts,
   po.gen_spec = options.gen_spec;
   po.lift_sim = options.lift_sim;
   po.gen_ternary_filter = options.gen_ternary_filter;
-  po.sat_inprocess = options.sat_inprocess;
   po.gen_batch = options.gen_batch;
   po.gen_batch_adaptive = options.gen_batch_adaptive;
   po.share_lemmas = share_lemmas;
@@ -151,7 +150,6 @@ CheckResult check_ts(const ts::TransitionSystem& ts,
   ctx.gen_spec = options.gen_spec;
   ctx.lift_sim = options.lift_sim;
   ctx.gen_ternary_filter = options.gen_ternary_filter;
-  ctx.sat_inprocess = options.sat_inprocess;
   ctx.gen_batch = options.gen_batch;
   ctx.gen_batch_adaptive = options.gen_batch_adaptive;
   const std::unique_ptr<engine::Backend> backend =

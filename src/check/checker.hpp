@@ -9,7 +9,7 @@
 /// names via to_string(); nothing below the CLI dispatches on it.
 ///
 /// The six configurations evaluated in the paper map onto specs as follows
-/// (DESIGN.md §2):
+/// (docs/ARCHITECTURE.md, "Experiment configurations"):
 ///   RIC3         → "ic3-down"     RIC3-pl      → "ic3-down-pl"
 ///   IC3ref       → "ic3-ctg"      IC3ref-pl    → "ic3-ctg-pl"
 ///   IC3ref-CAV23 → "ic3-cav23"    ABC-PDR      → "pdr"
@@ -66,11 +66,6 @@ struct CheckOptions {
   /// Ternary drop-filter in the MIC core ("--gen-ternary-filter on|off");
   /// unset = the config default (on).  Same scope as lift_sim.
   std::optional<bool> gen_ternary_filter;
-  /// SAT inprocessing ("--sat-inprocess on|off"): lemma-install subsumption
-  /// and boundary vivification (IC3), failed-literal probing + SCC
-  /// collapsing (BMC/k-induction).  Unset = defaults (on); applies to every
-  /// backend, including portfolio members.
-  std::optional<bool> sat_inprocess;
   /// Batched generalization probe width ("--gen-batch N", 1 = off); unset =
   /// the config default.  Same scope as lift_sim.
   std::optional<int> gen_batch;

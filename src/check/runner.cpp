@@ -192,7 +192,6 @@ std::vector<RunRecord> run_matrix(const std::vector<corpus::Case>& cases,
       co.gen_spec = options.gen_spec;
       co.lift_sim = options.lift_sim;
       co.gen_ternary_filter = options.gen_ternary_filter;
-      co.sat_inprocess = options.sat_inprocess;
       co.gen_batch = options.gen_batch;
       co.gen_batch_adaptive = options.gen_batch_adaptive;
       co.share_lemmas = options.share_lemmas;

@@ -81,10 +81,9 @@ struct RunMatrixOptions {
   /// CheckOptions::gen_ternary_filter); unset = config defaults.
   std::optional<ic3::Config::LiftSim> lift_sim;
   std::optional<bool> gen_ternary_filter;
-  /// SAT inprocessing / batched-probe overrides applied to every engine of
-  /// the matrix (CheckOptions::sat_inprocess / CheckOptions::gen_batch);
+  /// Batched-probe overrides applied to every IC3-family engine of the
+  /// matrix (CheckOptions::gen_batch / CheckOptions::gen_batch_adaptive);
   /// unset = config defaults.
-  std::optional<bool> sat_inprocess;
   std::optional<int> gen_batch;
   std::optional<bool> gen_batch_adaptive;
   /// Enable lemma exchange inside portfolio engine specs

@@ -1,7 +1,6 @@
 /// \file families.hpp
 /// Parameterized synthetic benchmark families with verdicts known by
-/// construction — the repository's substitute for the HWMCC'15/'17 sets
-/// (see DESIGN.md §1 for the substitution rationale).
+/// construction — the repository's substitute for the HWMCC'15/'17 sets.
 ///
 /// Every generator returns a `CircuitCase` whose `expected_safe` flag is
 /// guaranteed by the construction; unsafe cases additionally record the

@@ -85,14 +85,8 @@ json::Value stats_to_json(const ic3::Ic3Stats& s) {
   // row's verdict and how many failed (quarantines).
   o["cert_checks"] = s.num_cert_checks;
   o["cert_failures"] = s.num_cert_failures;
-  // Inprocessing / batched-probe counters (PR 7): subsumption and
-  // vivification work done in place, probing yield on unrolled CNFs, and
-  // how many MIC candidate drops each batched solve answered.
-  o["sat_subsumed"] = s.sat_subsumed_clauses;
-  o["sat_strengthened"] = s.sat_strengthened_clauses;
-  o["sat_vivified_lits"] = s.sat_vivified_literals;
-  o["sat_probe_failed_lits"] = s.sat_probe_failed_literals;
-  o["sat_scc_merged"] = s.sat_scc_merged_vars;
+  // Batched-probe counters: how many MIC candidate drops each batched
+  // solve answered.
   o["batched_drop_solves"] = s.num_batched_drop_solves;
   o["batched_drop_answers"] = s.num_batched_drop_answers;
   // Adaptive batch width (PR 10): emitted only when the adaptive sizing
@@ -102,13 +96,10 @@ json::Value stats_to_json(const ic3::Ic3Stats& s) {
     o["adaptive_batch_width_sum"] = s.adaptive_batch_width_sum;
   }
   o["rebuild_subsumed"] = s.num_rebuild_subsumed;
-  // Timing + per-phase profile (PR 8): coarse time_* fields plus one
+  // Timing + per-phase profile: the total plus one
   // {"seconds", "calls"} object per phase that actually ran, keyed by the
   // obs::phase_name string so rows stay readable and diffable.
   o["time_total"] = s.time_total;
-  o["time_generalize"] = s.time_generalize;
-  o["time_predict"] = s.time_predict;
-  o["time_propagate"] = s.time_propagate;
   if (!s.phases.empty()) {
     json::Object phases;
     for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
@@ -187,13 +178,11 @@ ic3::Ic3Stats stats_from_json(const json::Value& v) {
   // Certification fields (PR 9): absent in older rows — null/0 fallback.
   s.num_cert_checks = v.at("cert_checks").as_uint();
   s.num_cert_failures = v.at("cert_failures").as_uint();
-  // Inprocessing / batched-probe fields (PR 7): absent in older rows —
-  // the same null/0 fallback keeps pre-existing baselines loadable.
-  s.sat_subsumed_clauses = v.at("sat_subsumed").as_uint();
-  s.sat_strengthened_clauses = v.at("sat_strengthened").as_uint();
-  s.sat_vivified_literals = v.at("sat_vivified_lits").as_uint();
-  s.sat_probe_failed_literals = v.at("sat_probe_failed_lits").as_uint();
-  s.sat_scc_merged_vars = v.at("sat_scc_merged").as_uint();
+  // Batched-probe fields: absent in older rows — the same null/0
+  // fallback keeps pre-existing baselines loadable.  Rows from older builds
+  // also carry the SAT simplification counters sat_subsumed,
+  // sat_strengthened, sat_vivified_lits, sat_probe_failed_lits and
+  // sat_scc_merged; they are ignored.
   s.num_batched_drop_solves = v.at("batched_drop_solves").as_uint();
   s.num_batched_drop_answers = v.at("batched_drop_answers").as_uint();
   s.num_adaptive_batch_updates = v.at("adaptive_batch_updates").as_uint();
@@ -201,11 +190,10 @@ ic3::Ic3Stats stats_from_json(const json::Value& v) {
   s.num_rebuild_subsumed = v.at("rebuild_subsumed").as_uint();
   // Timing + phases (PR 8): absent in older rows — the same null/0
   // fallback applies, and phase names a future build no longer knows are
-  // skipped rather than rejected.
+  // skipped rather than rejected.  Older rows also carry time_generalize,
+  // time_predict and time_propagate, which duplicated the phase profile;
+  // they are ignored.
   s.time_total = v.at("time_total").as_double();
-  s.time_generalize = v.at("time_generalize").as_double();
-  s.time_predict = v.at("time_predict").as_double();
-  s.time_propagate = v.at("time_propagate").as_double();
   if (v.at("phases").is_object()) {
     for (const auto& [name, entry] : v.at("phases").as_object()) {
       const std::optional<obs::Phase> p = obs::phase_from_name(name);

@@ -33,7 +33,6 @@ class Ic3Backend final : public Backend {
     if (ctx.gen_ternary_filter.has_value()) {
       cfg_.gen_ternary_filter = *ctx.gen_ternary_filter;
     }
-    if (ctx.sat_inprocess.has_value()) cfg_.sat_inprocess = *ctx.sat_inprocess;
     if (ctx.gen_batch.has_value()) cfg_.gen_batch = *ctx.gen_batch;
     if (ctx.gen_batch_adaptive.has_value()) {
       cfg_.gen_batch_adaptive = *ctx.gen_batch_adaptive;
@@ -71,7 +70,6 @@ class BmcBackend final : public Backend {
   BmcBackend(const ts::TransitionSystem& ts, const BackendContext& ctx)
       : ts_(ts) {
     options_.seed = ctx.seed;
-    if (ctx.sat_inprocess.has_value()) options_.inprocess = *ctx.sat_inprocess;
     options_.progress = ctx.progress;
   }
 
@@ -108,7 +106,6 @@ class KinductionBackend final : public Backend {
   KinductionBackend(const ts::TransitionSystem& ts, const BackendContext& ctx)
       : ts_(ts) {
     options_.seed = ctx.seed;
-    if (ctx.sat_inprocess.has_value()) options_.inprocess = *ctx.sat_inprocess;
     options_.progress = ctx.progress;
   }
 

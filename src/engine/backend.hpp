@@ -75,10 +75,6 @@ struct BackendContext {
   /// Ternary drop-filter override for the MIC core (--gen-ternary-filter);
   /// unset = the config default (on).
   std::optional<bool> gen_ternary_filter;
-  /// SAT inprocessing override (--sat-inprocess): lemma-install subsumption
-  /// and boundary vivification in IC3-family backends, failed-literal
-  /// probing + SCC collapsing in BMC/k-induction; unset = defaults (on).
-  std::optional<bool> sat_inprocess;
   /// Batched generalization probe width override (--gen-batch); 1 disables
   /// batching, unset = the config default.
   std::optional<int> gen_batch;

@@ -91,7 +91,6 @@ PortfolioResult run_portfolio(const ts::TransitionSystem& ts,
     ctx.gen_spec = options.gen_spec;
     ctx.lift_sim = options.lift_sim;
     ctx.gen_ternary_filter = options.gen_ternary_filter;
-    ctx.sat_inprocess = options.sat_inprocess;
     ctx.gen_batch = options.gen_batch;
     ctx.gen_batch_adaptive = options.gen_batch_adaptive;
     if (hub != nullptr) {

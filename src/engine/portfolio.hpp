@@ -48,9 +48,8 @@ struct PortfolioOptions {
   /// BackendContext.
   std::optional<ic3::Config::LiftSim> lift_sim;
   std::optional<bool> gen_ternary_filter;
-  /// SAT inprocessing / batched-generalization-probe overrides applied to
-  /// every backend (unset = config defaults); see BackendContext.
-  std::optional<bool> sat_inprocess;
+  /// Batched-generalization-probe overrides applied to every IC3-family
+  /// backend (unset = config defaults); see BackendContext.
   std::optional<int> gen_batch;
   std::optional<bool> gen_batch_adaptive;
   /// Share generalized lemmas between the racing backends through a

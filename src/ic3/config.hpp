@@ -2,9 +2,9 @@
 /// IC3 engine configuration.
 ///
 /// The six experiment configurations of the paper map onto these knobs
-/// (see DESIGN.md §2): the `-pl` variants set `predict_lemmas = true`, the
-/// IC3ref/RIC3 baselines differ in `gen_mode`, and ABC-PDR is approximated
-/// by the kPdr profile.
+/// (see "Experiment configurations" in docs/ARCHITECTURE.md): the `-pl`
+/// variants set `predict_lemmas = true`, the IC3ref/RIC3 baselines differ in
+/// `gen_mode`, and ABC-PDR is approximated by the kPdr profile.
 #pragma once
 
 #include <cstdint>
@@ -112,12 +112,6 @@ struct Config {
   /// On by default; the off position exists for A/B measurement and for
   /// the verdict-equivalence tests.
   bool sat_trail_reuse = true;
-  /// SAT inprocessing: occurrence-list forward subsumption plus
-  /// self-subsuming resolution when lemma clauses are installed (a stronger
-  /// lemma retires weaker ones without waiting for a rebuild), and
-  /// vivification of long learnt clauses at frame boundaries.  Verdict
-  /// preserving; the off position exists for A/B measurement.
-  bool sat_inprocess = true;
   /// Batched generalization probes: answer up to this many MIC candidate
   /// drops with one relative-induction solve — UNSAT adopts the multi-drop
   /// core, SAT attributes the CTI to every candidate whose single-drop

@@ -261,7 +261,6 @@ void Engine::publish_progress() {
 
 bool Engine::propagate(const Deadline& deadline) {
   obs::PhaseScope phase(&stats_.phases, obs::Phase::kPropagate);
-  Timer t;
   // Propagation boundary: the dynamic meta-strategy evaluates its
   // switching policy.
   generalizer_.on_propagate();
@@ -305,7 +304,6 @@ bool Engine::propagate(const Deadline& deadline) {
     if (frames_.delta(i).empty()) fixpoint = true;
   }
   ctps.compact();
-  stats_.time_propagate += t.seconds();
   return fixpoint;
 }
 

@@ -346,12 +346,10 @@ class PredictStrategy final : public GenStrategy {
   Cube generalize(const Cube& cube, const Cube& core, std::size_t level,
                   const Deadline& deadline,
                   const AddLemmaFn& add_lemma) override {
-    Timer t;
     const std::optional<Cube> predicted = [&] {
       obs::PhaseScope phase(&ctx_.stats.phases, obs::Phase::kPredict);
       return predictor_.predict(cube, level, deadline);
     }();
-    ctx_.stats.time_predict += t.seconds();
     if (predicted.has_value()) return *predicted;
     return fallback_.generalize(cube, core, level, deadline, add_lemma);
   }

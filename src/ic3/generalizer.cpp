@@ -23,18 +23,10 @@ Cube Generalizer::generalize(const Cube& cube, const Cube& core,
                                        stats_.num_prediction_queries +
                                        stats_.num_batched_drop_solves;
   const std::uint64_t sp_before = stats_.num_successful_predictions;
-  const double predict_before = stats_.time_predict;
-  Timer t;
   const Cube lemma = [&] {
     obs::PhaseScope phase(&stats_.phases, obs::Phase::kGeneralize);
     return strategy_->generalize(cube, core, level, deadline, add_lemma);
   }();
-  // Keep time_generalize and time_predict disjoint, as they were when the
-  // engine timed them separately: the predictor's share (accumulated by
-  // the predict strategy inside this call) is carved out.  The phases
-  // table instead reports gross generalize time (predict nests inside).
-  stats_.time_generalize +=
-      t.seconds() - (stats_.time_predict - predict_before);
   const std::uint64_t spent = stats_.num_mic_queries +
                               stats_.num_prediction_queries +
                               stats_.num_batched_drop_solves - queries_before;

@@ -4,8 +4,8 @@
 /// resolved from Config::gen_spec.
 ///
 /// The driver owns the cross-strategy bookkeeping so strategies stay pure
-/// policy: it times every call into Ic3Stats::time_generalize, counts N_g,
-/// and records each outcome (success / queries spent / literals dropped)
+/// policy: it times every call as the obs::Phase::kGeneralize phase, counts
+/// N_g, and records each outcome (success / queries spent / literals dropped)
 /// into the per-strategy sliding windows that the "dynamic" meta-strategy
 /// and `pilot --stats` read.
 ///

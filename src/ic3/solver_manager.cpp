@@ -6,14 +6,6 @@
 #include "util/log.hpp"
 
 namespace pilot::ic3 {
-namespace {
-
-/// Learnt clauses vivified per frame boundary (maybe_rebuild without a
-/// rebuild).  Newest-first, so this bounds the boundary cost while still
-/// covering the clauses driving the current search.
-constexpr std::size_t kVivifyPerBoundary = 64;
-
-}  // namespace
 
 SolverManager::SolverManager(const TransitionSystem& ts, const Config& cfg,
                              Ic3Stats& stats)
@@ -21,7 +13,6 @@ SolverManager::SolverManager(const TransitionSystem& ts, const Config& cfg,
   solver_ = std::make_unique<sat::Solver>();
   solver_->set_seed(cfg_.seed);
   solver_->set_trail_reuse(cfg_.sat_trail_reuse);
-  solver_->set_inprocess(cfg_.sat_inprocess);
   install_base();
 }
 
@@ -46,19 +37,9 @@ void SolverManager::add_lemma_clause(const Cube& cube, std::size_t level) {
   ensure_level(level);
   std::vector<Lit> clause = cube.negated_lits();
   clause.push_back(~act(level));
-  // The ¬act(level) guard rides along into the subsumption pass, which
-  // scopes it naturally: only same-level lemma clauses share the guard, so
-  // only they can be retired or strengthened by the new install.
-  if (cfg_.sat_inprocess) {
-    obs::PhaseScope phase(&stats_.phases, obs::Phase::kSatInprocess);
-    solver_->add_clause_subsuming(clause);
-  } else {
-    solver_->add_clause(clause);
-  }
+  solver_->add_clause(clause);
   if (batch_solver_) {
-    // Mirror into every disjoint copy of the batch-probe solver (plain
-    // install: the per-copy subsumption pass would triple the occurrence
-    // scans for clauses the probes only ever assume).
+    // Mirror into every disjoint copy of the batch-probe solver.
     batch_ensure_level(level);
     const auto stride = static_cast<Var>(ts_.num_encoding_vars());
     for (std::size_t i = 0; i < batch_copies_; ++i) {
@@ -140,7 +121,6 @@ void SolverManager::build_batch_solver(const Frames& frames,
   batch_solver_ = std::make_unique<sat::Solver>();
   batch_solver_->set_seed(cfg_.seed);
   batch_solver_->set_trail_reuse(cfg_.sat_trail_reuse);
-  batch_solver_->set_inprocess(cfg_.sat_inprocess);
   // As many copies as the widest group the drop loop can request (the
   // adaptive width ranges up to gen_batch_max), so later probes never
   // outgrow the solver.
@@ -456,13 +436,10 @@ void SolverManager::rebuild(const Frames& frames) {
   solver_ = std::make_unique<sat::Solver>();
   solver_->set_seed(cfg_.seed);
   solver_->set_trail_reuse(cfg_.sat_trail_reuse);
-  solver_->set_inprocess(cfg_.sat_inprocess);
   install_base();
   ensure_level(levels == 0 ? 0 : levels - 1);
   // Sweep the lemma set across levels before re-adding: rebuilds shrink
-  // the CNF instead of replaying install history.  Plain add_clause here —
-  // the swept set is subsumption-free, so the install-time pass would only
-  // burn occurrence-list scans.
+  // the CNF instead of replaying install history.
   std::vector<std::vector<Cube>> buckets(frames.top_level() + 1);
   for (std::size_t j = 1; j <= frames.top_level(); ++j) {
     buckets[j] = frames.delta(j);
@@ -483,14 +460,7 @@ void SolverManager::rebuild(const Frames& frames) {
 }
 
 void SolverManager::maybe_rebuild(const Frames& frames) {
-  if (retired_tmp_ >= cfg_.rebuild_tmp_threshold) {
-    rebuild(frames);
-  } else if (cfg_.sat_inprocess) {
-    // Between rebuilds, spend the frame boundary vivifying the newest long
-    // learnts — the trail is about to go cold here regardless.
-    obs::PhaseScope phase(&stats_.phases, obs::Phase::kSatVivify);
-    solver_->vivify_learnts(kVivifyPerBoundary);
-  }
+  if (retired_tmp_ >= cfg_.rebuild_tmp_threshold) rebuild(frames);
 }
 
 }  // namespace pilot::ic3

@@ -48,10 +48,8 @@ class SolverManager {
   /// Makes activation literals for levels 0..k available.
   void ensure_level(std::size_t k);
 
-  /// Adds the lemma clause ¬cube guarded by act(level).  With
-  /// Config::sat_inprocess the install runs through the solver's
-  /// (self-)subsumption pass, so a stronger lemma retires weaker same-level
-  /// clauses in place instead of waiting for the next rebuild.
+  /// Adds the lemma clause ¬cube guarded by act(level).  Weaker same-level
+  /// clauses stay in the solver until the next rebuild sweeps them.
   void add_lemma_clause(const Cube& cube, std::size_t level);
 
   /// SAT(R_level ∧ bad)?  On true, the model is available for extraction.
@@ -113,9 +111,7 @@ class SolverManager {
   /// replaying install history.
   void rebuild(const Frames& frames);
 
-  /// Rebuilds if enough temporary clauses have been retired; otherwise —
-  /// with Config::sat_inprocess — uses the frame boundary to vivify the
-  /// newest long learnt clauses (the kept trail is cold here anyway).
+  /// Rebuilds if enough temporary clauses have been retired.
   void maybe_rebuild(const Frames& frames);
 
   /// Aggregate SAT counters across the current solver, the batch-probe

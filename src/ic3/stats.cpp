@@ -143,15 +143,6 @@ std::string Ic3Stats::summary() const {
     if (num_rebuild_carried_phases > 0) {
       oss << " carried_vars=" << num_rebuild_carried_phases;
     }
-  }
-  if (sat_subsumed_clauses > 0 || sat_strengthened_clauses > 0 ||
-      sat_vivified_literals > 0 || sat_probe_failed_literals > 0 ||
-      sat_scc_merged_vars > 0 || num_rebuild_subsumed > 0) {
-    oss << " | inprocess: subsumed=" << sat_subsumed_clauses
-        << " strengthened=" << sat_strengthened_clauses
-        << " vivified_lits=" << sat_vivified_literals
-        << " probe_failed_lits=" << sat_probe_failed_literals
-        << " scc_merged=" << sat_scc_merged_vars;
     if (num_rebuild_subsumed > 0) {
       oss << " rebuild_skips=" << num_rebuild_subsumed;
     }

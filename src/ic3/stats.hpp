@@ -170,17 +170,6 @@ struct Ic3Stats {
   /// Learnt clauses with LBD ≤ 2 (glue).
   std::uint64_t sat_glue_learnts = 0;
   std::uint64_t sat_db_reductions = 0;
-  // --- SAT inprocessing mirrors (Config::sat_inprocess) ---
-  /// Problem clauses retired by install-time forward subsumption.
-  std::uint64_t sat_subsumed_clauses = 0;
-  /// Problem clauses shortened by self-subsuming resolution.
-  std::uint64_t sat_strengthened_clauses = 0;
-  /// Literals removed from learnt clauses by vivification.
-  std::uint64_t sat_vivified_literals = 0;
-  /// Root units derived by failed-literal probing (BMC/k-ind unrollings).
-  std::uint64_t sat_probe_failed_literals = 0;
-  /// Variables rewritten to their binary-implication SCC representative.
-  std::uint64_t sat_scc_merged_vars = 0;
 
   /// Copies the SAT-layer aggregate into the mirror counters above.
   /// Idempotent (each field is assigned, not accumulated), so the engine
@@ -196,21 +185,14 @@ struct Ic3Stats {
     sat_binary_propagations = s.binary_propagations;
     sat_glue_learnts = s.glue_learnts;
     sat_db_reductions = s.db_reductions;
-    sat_subsumed_clauses = s.subsumed_clauses;
-    sat_strengthened_clauses = s.strengthened_clauses;
-    sat_vivified_literals = s.vivified_literals;
-    sat_probe_failed_literals = s.probe_failed_literals;
-    sat_scc_merged_vars = s.scc_merged_vars;
   }
 
   // --- timing (seconds) ---
   double time_total = 0.0;
-  double time_generalize = 0.0;
-  double time_predict = 0.0;
-  double time_propagate = 0.0;
 
   /// Per-phase wall-time breakdown (obs::PhaseScope accumulates into this);
-  /// rendered by `pilot --stats` and persisted into ResultsDb rows.
+  /// the one source of per-phase timing, rendered by `pilot --stats` and
+  /// persisted into ResultsDb rows.
   obs::PhaseProfile phases;
 
   std::size_t max_frame = 0;

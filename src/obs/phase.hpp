@@ -30,8 +30,8 @@ enum class Phase : std::uint8_t {
   kLift,           // predecessor lifting (ternary sim + SAT)
   kRebuild,        // SAT solver rebuild at frame boundaries
   kSatSolve,       // SAT queries (solve_bad / relative induction / probes)
-  kSatInprocess,   // clause subsumption on lemma install
-  kSatVivify,      // learnt-clause vivification at frame boundaries
+  kSatInprocess,   // always 0 (no inprocessing); perfbench still reads it
+  kSatVivify,      // always 0 (no vivification); perfbench still reads it
   kUnroll,         // BMC / k-induction transition unrolling
   kExchange,       // portfolio lemma-exchange import/validate
 };

@@ -125,7 +125,6 @@ bool Solver::add_clause(std::span<const Lit> literals) {
   const ClauseRef ref = arena_.alloc(lits, /*learnt=*/false);
   clauses_.push_back(ref);
   attach_clause(ref);
-  if (inprocess_) occ_attach(ref);
   return true;
 }
 
@@ -189,7 +188,6 @@ bool Solver::clause_satisfied(const Clause& c) const {
 void Solver::remove_clause(ClauseRef ref) {
   Clause& c = arena_.deref(ref);
   detach_clause(ref);
-  if (inprocess_ && !c.learnt()) occ_detach(ref);
   if (clause_locked(ref)) vardata_[c[0].var()].reason = kClauseRefUndef;
   arena_.free_clause(ref);
 }
@@ -565,9 +563,6 @@ void Solver::relocate_all(ClauseArena& target) {
   }
   for (auto& ref : clauses_) ref = arena_.relocate(ref, target);
   for (auto& ref : learnts_) ref = arena_.relocate(ref, target);
-  for (auto& occ : occs_) {
-    for (auto& ref : occ) ref = arena_.relocate(ref, target);
-  }
 }
 
 SolveResult Solver::search(std::int64_t conflicts_allowed,

@@ -63,20 +63,6 @@ struct SolverStats {
   /// Learnts kept by reduce_db because they were used since the last
   /// reduction (tier protection).
   std::uint64_t protected_learnts = 0;
-  // --- inprocessing counters (sat/inprocess.cpp) ---
-  /// Problem clauses retired by forward subsumption on clause install.
-  std::uint64_t subsumed_clauses = 0;
-  /// Problem clauses shortened by self-subsuming resolution on install.
-  std::uint64_t strengthened_clauses = 0;
-  /// Learnt clauses shortened by vivification.
-  std::uint64_t vivified_clauses = 0;
-  /// Literals removed from learnt clauses by vivification.
-  std::uint64_t vivified_literals = 0;
-  /// Root-level units derived by failed-literal probing.
-  std::uint64_t probe_failed_literals = 0;
-  /// Variables rewritten to their binary-implication SCC representative.
-  std::uint64_t scc_merged_vars = 0;
-
   /// Accumulates `other` into this (used when a solver is rebuilt and its
   /// counters must survive in the aggregate).
   SolverStats& operator+=(const SolverStats& other) {
@@ -96,12 +82,6 @@ struct SolverStats {
     glue_learnts += other.glue_learnts;
     lbd_updates += other.lbd_updates;
     protected_learnts += other.protected_learnts;
-    subsumed_clauses += other.subsumed_clauses;
-    strengthened_clauses += other.strengthened_clauses;
-    vivified_clauses += other.vivified_clauses;
-    vivified_literals += other.vivified_literals;
-    probe_failed_literals += other.probe_failed_literals;
-    scc_merged_vars += other.scc_merged_vars;
     return *this;
   }
 };
@@ -205,44 +185,6 @@ class Solver {
   /// call between solve()s (drops the kept trail).
   void simplify();
 
-  // ----- inprocessing (sat/inprocess.cpp) -------------------------------
-
-  /// Enables inprocessing: exact occurrence lists over the problem clauses
-  /// are maintained from this point on so add_clause_subsuming() can run
-  /// occurrence-driven (self-)subsumption.  Building the lists over clauses
-  /// already present costs one pass over their literals.
-  void set_inprocess(bool on);
-  [[nodiscard]] bool inprocess_enabled() const { return inprocess_; }
-
-  /// add_clause() preceded by an inprocessing pass against the problem
-  /// clauses: forward subsumption retires clauses the new one subsumes, and
-  /// self-subsuming resolution strengthens clauses the new one resolves
-  /// into a shorter form.  Falls back to plain add_clause() while
-  /// inprocessing is disabled.  Locked clauses (reasons on the trail) are
-  /// never touched — removing a reason mid-trail is unsound.
-  bool add_clause_subsuming(std::span<const Lit> literals);
-
-  /// Vivifies up to `max_clauses` of the newest long learnt clauses at the
-  /// root: each clause is detached, its negated literals assumed one by
-  /// one, and the clause shortened when propagation yields a conflict or an
-  /// implied literal.  Drops the kept trail (call at rebuild/frame
-  /// boundaries, not between hot queries).  Returns clauses shortened.
-  std::size_t vivify_learnts(std::size_t max_clauses);
-
-  /// Failed-literal probing and (optionally) binary-implication SCC
-  /// collapsing at the root.  Probing assumes each unassigned literal with
-  /// binary successors and asserts its negation when propagation conflicts;
-  /// a per-solver watermark limits each call to variables created since the
-  /// last one.  SCC collapsing rewrites literals in long problem clauses to
-  /// their cycle representative; the defining binary clauses are kept so
-  /// propagation still assigns the merged variables and models stay
-  /// complete.  Drops the kept trail.  Returns okay().
-  bool probe_and_collapse(bool collapse_scc, std::size_t max_probes);
-
-  /// Problem/learnt clause counts (observability for tests and benches).
-  [[nodiscard]] std::size_t num_clauses() const { return clauses_.size(); }
-  [[nodiscard]] std::size_t num_learnts() const { return learnts_.size(); }
-
  private:
   struct Watcher {
     ClauseRef cref = kClauseRefUndef;
@@ -283,7 +225,6 @@ class Solver {
     trail_lim_.push_back(static_cast<std::int32_t>(trail_.size()));
   }
   void unchecked_enqueue(Lit p, ClauseRef from = kClauseRefUndef);
-  bool enqueue(Lit p, ClauseRef from);
   void cancel_until(std::int32_t target_level);
 
   // --- search ---
@@ -320,17 +261,6 @@ class Solver {
   void remove_satisfied(std::vector<ClauseRef>& refs);
   void collect_garbage_if_needed();
   void relocate_all(ClauseArena& target);
-
-  // --- inprocessing helpers (sat/inprocess.cpp) ---
-  void occ_build();
-  void occ_attach(ClauseRef ref);
-  void occ_detach(ClauseRef ref);
-  /// Removes a problem clause entirely: watches, occurrences, clauses_.
-  void erase_problem_clause(ClauseRef ref);
-  /// (Self-)subsumption of the problem clauses against the normalized new
-  /// clause `lits`; returns the number of clauses retired.
-  std::size_t subsume_and_strengthen(std::span<const Lit> lits);
-  void collapse_binary_sccs();
 
   // --- state ---
   bool ok_ = true;
@@ -381,15 +311,6 @@ class Solver {
   std::uint64_t conflict_budget_ = 0;  // 0 = unlimited
   double random_decision_freq_ = 0.0;
   Rng rng_{0x12345678};
-
-  // --- inprocessing state (sat/inprocess.cpp) ---
-  bool inprocess_ = false;
-  /// Exact occurrence lists over *problem* clauses, by Lit::index().
-  std::vector<std::vector<ClauseRef>> occs_;
-  /// Scratch literal marks for subset tests, by Lit::index().
-  std::vector<char> inproc_mark_;
-  /// Variables below this were already probed by probe_and_collapse().
-  Var probe_watermark_ = 0;
 
   SolverStats stats_;
 };

@@ -294,14 +294,15 @@ TEST(StatsJson, PhasesAndTimesRoundTrip) {
   ic3::Ic3Stats s;
   s.num_lemmas = 9;
   s.time_total = 2.5;
-  s.time_generalize = 0.5;
   s.phases.add(obs::Phase::kBlock, 1.5, 3);
+  s.phases.add(obs::Phase::kGeneralize, 0.5, 7);
   s.phases.add(obs::Phase::kSatSolve, 0.75, 120);
   const json::Value v = corpus::stats_to_json(s);
   const ic3::Ic3Stats back = corpus::stats_from_json(v);
   EXPECT_EQ(back.num_lemmas, 9u);
   EXPECT_DOUBLE_EQ(back.time_total, 2.5);
-  EXPECT_DOUBLE_EQ(back.time_generalize, 0.5);
+  EXPECT_DOUBLE_EQ(back.phases.seconds_of(obs::Phase::kGeneralize), 0.5);
+  EXPECT_EQ(back.phases.calls_of(obs::Phase::kGeneralize), 7u);
   EXPECT_DOUBLE_EQ(back.phases.seconds_of(obs::Phase::kBlock), 1.5);
   EXPECT_EQ(back.phases.calls_of(obs::Phase::kBlock), 3u);
   EXPECT_EQ(back.phases.calls_of(obs::Phase::kSatSolve), 120u);

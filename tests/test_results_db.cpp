@@ -1,13 +1,14 @@
-/// Results-database tests: JSONL round trips (write → load), append-only
-/// writer semantics, merge/dedup keying, query filters, and the full diff
-/// matrix — identical, verdict flip, newly unsolved/solved, time
-/// regression, missing rows.
+/// Results-database tests: JSONL round trips (write → load), rows written
+/// by older builds, append-only writer semantics, merge/dedup keying, query
+/// filters, and the full diff matrix — identical, verdict flip, newly
+/// unsolved/solved, time regression, missing rows.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 
 #include "corpus/results_db.hpp"
+#include "obs/phase.hpp"
 #include "util/json.hpp"
 
 namespace fs = std::filesystem;
@@ -120,6 +121,88 @@ TEST(ResultsDb, EngineCountersAbsentFromOlderRowsReadAsZero) {
   EXPECT_EQ(back.num_ctg_blocked, 0u);
   EXPECT_EQ(back.num_subsumed_lemmas, 0u);
   EXPECT_EQ(back.num_rebuild_carried_phases, 0u);
+}
+
+/// A row as older builds wrote it: it carries the SAT simplification
+/// counters sat_subsumed, sat_strengthened, sat_vivified_lits,
+/// sat_probe_failed_lits and sat_scc_merged, the coarse timers
+/// time_generalize, time_predict and time_propagate, and phase rows for the
+/// SAT simplification phases.
+constexpr const char* kOlderBuildRow = R"({"ands":24,"budget_ms":2000,)"
+    R"("case":"counter10_unsafe","commit":"","content_hash":"c2dc4859d0dc0391",)"
+    R"("corpus":"tests/corpus","engine":"ic3-ctg","expected":"unsafe",)"
+    R"("family":"aiger","frames":5,"inputs":0,"latches":6,"seconds":0.00066,)"
+    R"("seed":0,"solved":true,"stats":{"batched_drop_answers":0,)"
+    R"("batched_drop_solves":0,"blocked_cubes":11,"cert_checks":0,)"
+    R"("cert_failures":0,"ctg_blocked":1,"ctis":11,"exchange_imported":0,)"
+    R"("exchange_published":0,"exchange_rejected":0,"exchange_skipped":0,)"
+    R"("filter_blocking_witnesses":0,"filter_checks":0,)"
+    R"("filter_solves_saved":0,"filter_witnesses":0,"found_failed_parents":0,)"
+    R"("gen_strategies":[{"attempts":11,"dropped_lits":8,"name":"ctg",)"
+    R"("queries":19,"successes":5,"switches":0}],"generalizations":11,)"
+    R"("lemmas":12,"max_frame":5,"mic_drops":6,"mic_queries":19,)"
+    R"("obligations":16,"packed_sim_words":0,"phases":{)"
+    R"("block":{"calls":5,"seconds":0.0006},)"
+    R"("generalize":{"calls":11,"seconds":0.00021},)"
+    R"("lift":{"calls":16,"seconds":0.000078},)"
+    R"("propagate":{"calls":4,"seconds":0.000034},)"
+    R"("sat_inprocess":{"calls":12,"seconds":0.000027},)"
+    R"("sat_solve":{"calls":76,"seconds":0.00045},)"
+    R"("sat_vivify":{"calls":4,"seconds":0.0000014}},)"
+    R"("prediction_queries":0,"push_queries":5,"push_skips":5,)"
+    R"("push_successes":0,"rebuild_carried_phases":0,"rebuild_subsumed":0,)"
+    R"("sat_binary_propagations":1748,"sat_conflicts":6,"sat_db_reductions":0,)"
+    R"("sat_decisions":453,"sat_glue_learnts":4,"sat_probe_failed_lits":2,)"
+    R"("sat_propagations":2535,"sat_saved_propagations":472,)"
+    R"("sat_scc_merged":1,"sat_solve_calls":76,"sat_strengthened":4,)"
+    R"("sat_subsumed":3,"sat_trail_reuse_hits":42,"sat_vivified_lits":7,)"
+    R"("solver_rebuilds":0,"strategy_switches":0,"subsumed_lemmas":6,)"
+    R"("successful_predictions":0,"time_generalize":0.00021,)"
+    R"("time_predict":0,"time_propagate":0.000034,"time_total":0.00066},)"
+    R"("tags":["smoke","counter"],"timestamp":"2026-10-17T08:34:02Z",)"
+    R"("verdict":"UNSAFE"})";
+
+TEST(ResultsDb, OlderBuildRowLoadsAndRoundTripsWithoutRemovedFields) {
+  const RunRow row = row_from_json(json::parse(kOlderBuildRow));
+  EXPECT_EQ(row.record.case_name, "counter10_unsafe");
+  EXPECT_EQ(row.record.engine, "ic3-ctg");
+  EXPECT_EQ(row.record.verdict, ic3::Verdict::kUnsafe);
+  EXPECT_EQ(row.record.stats.num_push_queries, 5u);
+  EXPECT_EQ(row.record.stats.num_push_skips, 5u);
+  EXPECT_EQ(row.record.stats.sat_solve_calls, 76u);
+  EXPECT_DOUBLE_EQ(row.record.stats.time_total, 0.00066);
+  EXPECT_EQ(row.record.stats.phases.calls_of(obs::Phase::kGeneralize), 11u);
+  EXPECT_EQ(row.record.stats.phases.calls_of(obs::Phase::kSatInprocess), 12u);
+
+  // Written back, the row drops every removed field and is then stable.
+  const std::string written = to_json(row).dump();
+  const json::Value stats = json::parse(written).at("stats");
+  for (const char* field :
+       {"sat_subsumed", "sat_strengthened", "sat_vivified_lits",
+        "sat_probe_failed_lits", "sat_scc_merged", "time_generalize",
+        "time_predict", "time_propagate"}) {
+    EXPECT_FALSE(stats.contains(field)) << field;
+  }
+  EXPECT_EQ(to_json(row_from_json(json::parse(written))).dump(), written);
+}
+
+TEST(ResultsDb, CommittedBaselineLoadsAndDiffsCleanAfterRewrite) {
+  const ResultsDb baseline =
+      ResultsDb::load(PILOT_TEST_CORPUS_DIR "/baseline.jsonl");
+  ASSERT_FALSE(baseline.rows().empty());
+  TempFile rewritten("baseline_rewrite");
+  {
+    ResultsDb::Writer writer(rewritten.str());
+    for (const RunRow& row : baseline.rows()) writer.append(row);
+  }
+  const ResultsDb reloaded = ResultsDb::load(rewritten.str());
+  ASSERT_EQ(reloaded.rows().size(), baseline.rows().size());
+  const DiffOptions options;
+  const DiffReport report = diff_runs(baseline, reloaded, options);
+  EXPECT_FALSE(report.failed(options));
+  EXPECT_TRUE(report.verdict_flips.empty());
+  EXPECT_TRUE(report.newly_unsolved.empty());
+  EXPECT_TRUE(report.only_in_baseline.empty());
 }
 
 TEST(ResultsDb, WriterAppendsAndLoadReadsBack) {

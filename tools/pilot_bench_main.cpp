@@ -45,6 +45,7 @@
 #include <exception>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <fstream>
@@ -56,6 +57,7 @@
 #include "circuits/families.hpp"
 #include "corpus/bench_diff.hpp"
 #include "engine/portfolio.hpp"
+#include "ic3/gen_strategy.hpp"
 #include "corpus/corpus.hpp"
 #include "corpus/manifest.hpp"
 #include "corpus/report.hpp"
@@ -172,7 +174,6 @@ int cmd_run(int argc, const char* const* argv) {
   std::string out_path;
   std::string lift_sim;
   std::string ternary_filter;
-  std::string sat_inprocess;
   std::int64_t gen_batch = -1;
   std::string gen_batch_adaptive;
   bool truncate = false;
@@ -200,10 +201,6 @@ int cmd_run(int argc, const char* const* argv) {
   parser.add_choice("gen-ternary-filter", &ternary_filter, {"on", "off"},
                     "ternary drop-filter in the MIC core (default on; off "
                     "for A/B)");
-  parser.add_choice("sat-inprocess", &sat_inprocess, {"on", "off"},
-                    "SAT inprocessing: subsumption/vivification (IC3), "
-                    "probing/SCC collapsing (BMC/k-ind); default on, off "
-                    "for A/B");
   parser.add_int("gen-batch", &gen_batch,
                  "MIC candidate drops answered per SAT solve (1 = "
                  "sequential; default 4)");
@@ -253,7 +250,6 @@ int cmd_run(int argc, const char* const* argv) {
   if (!ternary_filter.empty()) {
     options.gen_ternary_filter = ternary_filter == "on";
   }
-  if (!sat_inprocess.empty()) options.sat_inprocess = sat_inprocess == "on";
   if (gen_batch == 0 || gen_batch < -1) {
     std::fprintf(stderr,
                  "pilot-bench run: --gen-batch must be >= 1 (1 = "
@@ -483,6 +479,59 @@ FuzzCase make_fuzz_case(std::size_t family_index, std::size_t param,
   return fc;
 }
 
+/// The configuration knobs one fuzz case runs its engines under.  They are
+/// derived from the fuzz seed and the case index alone (fuzz_config_for), so
+/// `--seed` replays a failure under exactly the configuration that
+/// produced it.
+struct FuzzConfig {
+  int gen_batch = 4;
+  bool gen_batch_adaptive = false;
+  bool gen_ternary_filter = true;
+  ic3::Config::LiftSim lift_sim = ic3::Config::LiftSim::kPacked;
+  std::string gen_spec;  // empty = each engine's own strategy
+
+  /// "gen-batch=4 gen-batch-adaptive=off gen-ternary-filter=on
+  /// lift-sim=packed gen=none", one key per `pilot` option of that name.
+  [[nodiscard]] std::string describe() const {
+    return "gen-batch=" + std::to_string(gen_batch) +
+           " gen-batch-adaptive=" + (gen_batch_adaptive ? "on" : "off") +
+           " gen-ternary-filter=" + (gen_ternary_filter ? "on" : "off") +
+           " lift-sim=" +
+           (lift_sim == ic3::Config::LiftSim::kByte ? "byte" : "packed") +
+           " gen=" + (gen_spec.empty() ? "none" : gen_spec);
+  }
+};
+
+/// Choice `index` of a knob with `n` values: every aligned block of n cases
+/// visits each value once, in an order shuffled per (seed, knob, block), so
+/// even a short run covers every value of every knob.
+std::size_t fuzz_choice(std::uint64_t seed, std::uint64_t knob,
+                        std::uint64_t index, std::size_t n) {
+  std::uint64_t state = seed ^ (knob * 0x9e3779b97f4a7c15ULL) ^
+                        ((index / n) * 0xbf58476d1ce4e5b9ULL);
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  for (std::size_t i = n; i-- > 1;) {
+    std::swap(order[i], order[splitmix64(state) % (i + 1)]);
+  }
+  return order[index % n];
+}
+
+FuzzConfig fuzz_config_for(std::uint64_t seed, std::uint64_t index) {
+  static constexpr int kBatchWidths[] = {1, 2, 4, 8};
+  std::vector<std::string> specs = ic3::gen_strategy_names();
+  specs.insert(specs.begin(), "");  // none: keep each engine's strategy
+  FuzzConfig fc;
+  fc.gen_batch = kBatchWidths[fuzz_choice(seed, 1, index, 4)];
+  fc.gen_batch_adaptive = fuzz_choice(seed, 2, index, 2) == 1;
+  fc.gen_ternary_filter = fuzz_choice(seed, 3, index, 2) == 1;
+  fc.lift_sim = fuzz_choice(seed, 4, index, 2) == 1
+                    ? ic3::Config::LiftSim::kByte
+                    : ic3::Config::LiftSim::kPacked;
+  fc.gen_spec = specs[fuzz_choice(seed, 5, index, specs.size())];
+  return fc;
+}
+
 /// Runs every engine on the case, certifies each definitive verdict, and
 /// returns the first cross-check violation: a rejected witness or
 /// certificate, a verdict contradicting the family's expected status, or a
@@ -492,7 +541,7 @@ struct FuzzOutcome {
   std::string why;
 };
 
-FuzzOutcome evaluate_fuzz_case(const FuzzCase& fc,
+FuzzOutcome evaluate_fuzz_case(const FuzzCase& fc, const FuzzConfig& config,
                                const std::vector<std::string>& engines,
                                std::int64_t budget_ms, std::uint64_t seed) {
   FuzzOutcome out;
@@ -506,6 +555,11 @@ FuzzOutcome evaluate_fuzz_case(const FuzzCase& fc,
     co.budget_ms = budget_ms;
     co.seed = seed;
     co.verify_witness = true;
+    co.gen_spec = config.gen_spec;
+    co.gen_batch = config.gen_batch;
+    co.gen_batch_adaptive = config.gen_batch_adaptive;
+    co.gen_ternary_filter = config.gen_ternary_filter;
+    co.lift_sim = config.lift_sim;
     const check::CheckResult r = check::check_ts(ts, co);
     if (r.verdict == ic3::Verdict::kUnknown) continue;
     const bool safe = r.verdict == ic3::Verdict::kSafe;
@@ -548,9 +602,10 @@ FuzzOutcome evaluate_fuzz_case(const FuzzCase& fc,
 }
 
 /// Re-generates the failing case at every smaller family parameter (same
-/// aux/mutation key) and returns the smallest one that still fails —
-/// deterministic generation makes the scan exact, not heuristic.
-FuzzCase shrink_fuzz_case(const FuzzCase& failing,
+/// aux/mutation key and configuration) and returns the smallest one that
+/// still fails — deterministic generation makes the scan exact, not
+/// heuristic.
+FuzzCase shrink_fuzz_case(const FuzzCase& failing, const FuzzConfig& config,
                           const std::vector<std::string>& engines,
                           std::int64_t budget_ms, std::uint64_t seed,
                           std::string* why) {
@@ -559,7 +614,7 @@ FuzzCase shrink_fuzz_case(const FuzzCase& failing,
     FuzzCase candidate =
         make_fuzz_case(failing.family_index, p, failing.aux, failing.mut_key);
     const FuzzOutcome v =
-        evaluate_fuzz_case(candidate, engines, budget_ms, seed);
+        evaluate_fuzz_case(candidate, config, engines, budget_ms, seed);
     if (v.failed) {
       *why = v.why;
       return candidate;
@@ -579,7 +634,9 @@ int cmd_fuzz(int argc, const char* const* argv) {
       "instances and seeded single-fault mutants.\nEach case runs every "
       "engine; definitive verdicts must agree with each other, with the "
       "family's expected status (unmutated cases), and must certify under "
-      "the independent checker.  Failures shrink to the smallest family "
+      "the independent checker.  Each case also draws a configuration "
+      "(gen-batch, gen-batch-adaptive, gen-ternary-filter, lift-sim, gen) "
+      "from the seed and its index.  Failures shrink to the smallest family "
       "parameter that still reproduces.\nExit codes: 0 = all cases clean, "
       "1 = cross-check failure, 3 = usage error.");
   parser.add_int("cases", &cases, "number of fuzz cases to generate");
@@ -637,20 +694,24 @@ int cmd_fuzz(int argc, const char* const* argv) {
       if (mut_key == 0) mut_key = 1;
     }
     const FuzzCase fc = make_fuzz_case(family_index, param, aux, mut_key);
+    const FuzzConfig config =
+        fuzz_config_for(seed, static_cast<std::uint64_t>(i));
+    const std::string knobs = config.describe();
     const FuzzOutcome v =
-        evaluate_fuzz_case(fc, engines, budget_ms, seed + 1 + i);
+        evaluate_fuzz_case(fc, config, engines, budget_ms, seed + 1 + i);
     if (!v.failed) {
-      std::fprintf(stderr, "[pilot-bench] fuzz %lld/%lld %s: ok\n",
+      std::fprintf(stderr, "[pilot-bench] fuzz %lld/%lld %s [%s]: ok\n",
                    static_cast<long long>(i + 1),
-                   static_cast<long long>(cases), fc.cc.name.c_str());
+                   static_cast<long long>(cases), fc.cc.name.c_str(),
+                   knobs.c_str());
       continue;
     }
     ++failures;
-    std::fprintf(stderr, "[pilot-bench] fuzz FAILURE on %s: %s\n",
-                 fc.cc.name.c_str(), v.why.c_str());
+    std::fprintf(stderr, "[pilot-bench] fuzz FAILURE on %s [%s]: %s\n",
+                 fc.cc.name.c_str(), knobs.c_str(), v.why.c_str());
     std::string shrunk_why = v.why;
-    const FuzzCase minimal =
-        shrink_fuzz_case(fc, engines, budget_ms, seed + 1 + i, &shrunk_why);
+    const FuzzCase minimal = shrink_fuzz_case(fc, config, engines, budget_ms,
+                                              seed + 1 + i, &shrunk_why);
     if (minimal.param != fc.param) {
       std::fprintf(stderr, "[pilot-bench]   shrunk to %s: %s\n",
                    minimal.cc.name.c_str(), shrunk_why.c_str());
@@ -659,8 +720,12 @@ int cmd_fuzz(int argc, const char* const* argv) {
       const std::string path = out_dir + "/" + minimal.cc.name + ".aag";
       try {
         aig::write_aiger_file(minimal.cc.aig, path);
-        std::fprintf(stderr, "[pilot-bench]   reproducer: %s\n",
-                     path.c_str());
+        std::fprintf(stderr,
+                     "[pilot-bench]   reproducer: %s [%s] (replay: --seed "
+                     "%llu --cases %lld)\n",
+                     path.c_str(), knobs.c_str(),
+                     static_cast<unsigned long long>(seed),
+                     static_cast<long long>(i + 1));
       } catch (const std::exception& e) {
         std::fprintf(stderr, "[pilot-bench]   cannot write %s: %s\n",
                      path.c_str(), e.what());

@@ -148,8 +148,8 @@ int run_certify(int argc, char** argv) {
       "against its model.\n"
       "usage: pilot certify <model.aag|model.aig> <certificate>\n"
       "The checker deliberately uses a different solver configuration than "
-      "the engines (trail reuse off, inprocessing off, fresh variable "
-      "order), so a bug in the optimized hot path cannot vouch for itself.\n"
+      "the engines (trail reuse off, fresh variable order), so a bug in the "
+      "optimized hot path cannot vouch for itself.\n"
       "exit codes: 0 = certificate valid, 3 = usage/parse error, "
       "4 = certificate rejected");
   parser.add_int("seed", &seed, "checker randomization seed");
@@ -439,7 +439,6 @@ int main(int argc, char** argv) {
   std::string gen_spec;
   std::string lift_sim;
   std::string ternary_filter;
-  std::string sat_inprocess;
   std::int64_t gen_batch = -1;
   std::string gen_batch_adaptive;
   std::string cache_path;
@@ -495,11 +494,6 @@ int main(int argc, char** argv) {
                     "ternary drop-filter in the MIC core: skip "
                     "relative-induction solves a cached counterexample "
                     "already defeats (default on; off for A/B)");
-  parser.add_choice("sat-inprocess", &sat_inprocess, {"on", "off"},
-                    "SAT inprocessing: lemma-install subsumption and frame "
-                    "boundary vivification (IC3), failed-literal probing "
-                    "and binary-SCC collapsing (BMC/k-induction); default "
-                    "on, off for A/B");
   parser.add_int("gen-batch", &gen_batch,
                  "batched generalization probes: MIC candidate drops "
                  "answered per SAT solve (1 = sequential, default 4; ctg "
@@ -666,7 +660,6 @@ int main(int argc, char** argv) {
       if (!ternary_filter.empty()) {
         mo.gen_ternary_filter = ternary_filter == "on";
       }
-      if (!sat_inprocess.empty()) mo.sat_inprocess = sat_inprocess == "on";
       if (gen_batch >= 1) mo.gen_batch = static_cast<int>(gen_batch);
       if (!gen_batch_adaptive.empty()) {
         mo.gen_batch_adaptive = gen_batch_adaptive == "on";
@@ -783,7 +776,6 @@ int main(int argc, char** argv) {
     if (!ternary_filter.empty()) {
       opts.gen_ternary_filter = ternary_filter == "on";
     }
-    if (!sat_inprocess.empty()) opts.sat_inprocess = sat_inprocess == "on";
     if (gen_batch >= 1) opts.gen_batch = static_cast<int>(gen_batch);
     if (!gen_batch_adaptive.empty()) {
       opts.gen_batch_adaptive = gen_batch_adaptive == "on";
