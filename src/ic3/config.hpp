@@ -102,8 +102,11 @@ struct Config {
   /// position exists for A/B measurement.
   bool gen_ternary_filter = true;
   bool reenqueue_obligations = true;
-  /// Rebuild the main solver after this many retired temporary activation
-  /// literals (controls junk accumulation).
+  /// Rebuild the main solver after this many released temporary
+  /// activation variables.  Temporary clauses no longer accumulate (the
+  /// SAT solver removes them on release); the rebuild sweeps subsumed lemma
+  /// clauses out of the CNF and, with rebuild_carry_state, carries saved
+  /// phases and activities over.
   std::size_t rebuild_tmp_threshold = 3000;
 
   // --- SAT layer tuning ---

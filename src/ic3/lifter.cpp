@@ -25,21 +25,22 @@ Lifter::Lifter(const ts::TransitionSystem& ts, const Config& cfg,
   }
 }
 
-void Lifter::maybe_rebuild() {
-  if (retired_tmp_ < cfg_.rebuild_tmp_threshold) return;
-  solver_ = std::make_unique<sat::Solver>();
-  solver_->set_seed(cfg_.seed);
-  ts_.install(*solver_);
-  retired_tmp_ = 0;
-}
-
 Cube Lifter::core_projection(const Cube& full) const {
+  // The core literals are marked in a flag vector, so the membership test
+  // is O(1) per literal instead of a scan over the core.
   const std::vector<Lit>& core = solver_->core();
+  for (const Lit l : core) {
+    const auto idx = static_cast<std::size_t>(l.index());
+    if (idx >= core_mark_.size()) core_mark_.resize(idx + 1, 0);
+    core_mark_[idx] = 1;
+  }
   std::vector<Lit> kept;
   for (const Lit l : full) {
-    if (std::find(core.begin(), core.end(), l) != core.end()) {
-      kept.push_back(l);
-    }
+    const auto idx = static_cast<std::size_t>(l.index());
+    if (idx < core_mark_.size() && core_mark_[idx] != 0) kept.push_back(l);
+  }
+  for (const Lit l : core) {
+    core_mark_[static_cast<std::size_t>(l.index())] = 0;
   }
   if (kept.empty()) return full;  // defensive: keep something
   return Cube::from_sorted(std::move(kept));
@@ -242,7 +243,9 @@ Cube Lifter::lift_predecessor(const Cube& pred_full,
     case Config::LiftMode::kSat:
       break;
   }
-  maybe_rebuild();
+  // The temporary clause ¬t′ gets a throwaway activation that is released
+  // after the solve, so the solver drops the clause (and the learnts
+  // derived from it) without backtracking to the root.
   const Lit tmp = Lit::make(solver_->new_var());
   std::vector<Lit> clause{~tmp};
   for (const Lit l : successor) clause.push_back(~ts_.prime(l));
@@ -257,8 +260,7 @@ Cube Lifter::lift_predecessor(const Cube& pred_full,
   for (const Lit l : pred_full) assumptions.push_back(l);
 
   const sat::SolveResult res = solver_->solve(assumptions, deadline);
-  solver_->add_unit(~tmp);
-  ++retired_tmp_;
+  solver_->release_var(tmp.var());
   if (res == sat::SolveResult::kUnknown) throw TimeoutError{};
   if (res == sat::SolveResult::kSat) return pred_full;  // defensive
   return core_projection(pred_full);
@@ -275,7 +277,6 @@ Cube Lifter::lift_bad(const Cube& state_full, const std::vector<Lit>& inputs,
     case Config::LiftMode::kSat:
       break;
   }
-  maybe_rebuild();
   std::vector<Lit> assumptions;
   assumptions.reserve(state_full.size() + inputs.size() + 1);
   assumptions.push_back(~ts_.bad());

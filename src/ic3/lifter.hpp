@@ -49,6 +49,11 @@ class Lifter {
   Cube lift_bad(const Cube& state_full, const std::vector<Lit>& inputs,
                 const Deadline& deadline);
 
+  /// The SAT-lifting solver; null unless Config::lift_mode is kSat.
+  [[nodiscard]] const sat::Solver* sat_solver() const {
+    return solver_.get();
+  }
+
  private:
   /// Judges one simulated frame: true when the lifting target (successor
   /// cube / bad signal, plus the invariant constraints) is still definite.
@@ -56,7 +61,6 @@ class Lifter {
   /// simulator ignores it.
   using TargetFn = std::function<bool(std::size_t lane)>;
 
-  void maybe_rebuild();
   Cube core_projection(const Cube& full) const;
   /// Value of `lit` on the active ternary backend.
   [[nodiscard]] aig::TV sim_value(aig::AigLit lit, std::size_t lane) const;
@@ -81,7 +85,9 @@ class Lifter {
   std::unique_ptr<aig::PackedTernarySimulator> packed_;
   std::vector<aig::TV> latch_values_;
   std::vector<aig::TV> input_values_;
-  std::size_t retired_tmp_ = 0;
+  // Scratch for core_projection: flags indexed by Lit::index(), marked for
+  // the core's literals and cleared again on exit.
+  mutable std::vector<char> core_mark_;
 };
 
 }  // namespace pilot::ic3

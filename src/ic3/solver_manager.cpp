@@ -89,11 +89,10 @@ bool SolverManager::relative_inductive(const Cube& c, std::size_t level,
   Lit tmp = sat::kLitUndef;
   if (!cube_clause_in_frame) {
     tmp = Lit::make(solver_->new_var());
-    // The throw-away activation variable is never decided on and never
-    // assumed again after this query, which leaves the temporary clause
-    // permanently inert — no retiring unit clause is needed, so the kept
-    // trail (and with it the assumption-prefix reuse) survives the query.
-    solver_->set_decision_var(tmp.var(), false);
+    // The throwaway activation variable is released after this query: the
+    // solver then drops the temporary clause and every learnt derived from
+    // it without a retiring unit clause, so the kept trail (and with it the
+    // assumption-prefix reuse) survives.
     std::vector<Lit> clause = c.negated_lits();
     clause.push_back(~tmp);
     solver_->add_clause(clause);
@@ -102,7 +101,10 @@ bool SolverManager::relative_inductive(const Cube& c, std::size_t level,
   for (const Lit l : c) assumptions.push_back(ts_.prime(l));
 
   const sat::SolveResult res = solver_->solve(assumptions, deadline);
-  if (!cube_clause_in_frame) ++retired_tmp_;
+  if (!cube_clause_in_frame) {
+    solver_->release_var(tmp.var());
+    ++retired_tmp_;
+  }
   if (res == sat::SolveResult::kUnknown) throw TimeoutError{};
   if (res == sat::SolveResult::kSat) return false;
   if (core_out != nullptr) *core_out = shrink_with_core(c);
@@ -185,11 +187,10 @@ bool SolverManager::batch_drop_probe(const Cube& cube,
     assumptions.push_back(Lit::make(batch_act_vars_[j]));
   }
   // Copy i: temporary clause ¬(cube\mᵢ) under a throwaway activation (same
-  // inert-retirement scheme as relative_inductive) plus (cube\mᵢ)′ assumed.
+  // release scheme as relative_inductive) plus (cube\mᵢ)′ assumed.
   std::vector<Lit> tmp_act(group.size());
   for (std::size_t i = 0; i < group.size(); ++i) {
     const Lit tmp = Lit::make(batch_solver_->new_var());
-    batch_solver_->set_decision_var(tmp.var(), false);
     tmp_act[i] = tmp;
     std::vector<Lit> clause;
     clause.reserve(cube.size());
@@ -206,6 +207,7 @@ bool SolverManager::batch_drop_probe(const Cube& cube,
     }
   }
   const sat::SolveResult res = batch_solver_->solve(assumptions, deadline);
+  for (const Lit tmp : tmp_act) batch_solver_->release_var(tmp.var());
   batch_retired_tmp_ += group.size();
   if (res == sat::SolveResult::kUnknown) throw TimeoutError{};
 

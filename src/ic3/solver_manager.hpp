@@ -15,10 +15,14 @@
 /// and skip its re-propagation entirely.
 ///
 /// Temporary clauses (the ¬c part of a relative-induction query) get a
-/// fresh throw-away activation variable that is excluded from decisions
-/// and never assumed again, which leaves the clause inert; the solver is
-/// rebuilt from the frames once enough junk has accumulated, carrying
-/// saved phases and activities over so the search heuristics survive.
+/// fresh throwaway activation variable that is released after the query
+/// (sat::Solver::release_var): the solver removes the clause and every
+/// learnt derived from it, so temporaries no longer accumulate.  The
+/// solver is still rebuilt from the frames every
+/// Config::rebuild_tmp_threshold queries with a temporary: the rebuild
+/// sweeps subsumed lemma clauses (reduce_lemma_buckets), which weaker
+/// same-level installs otherwise leave behind, and carries saved phases and
+/// activities over so the search heuristics survive.
 #pragma once
 
 #include <memory>
@@ -99,7 +103,8 @@ class SolverManager {
   /// activation guards, which occur in one polarity only, so resolution
   /// cannot mix copies); the final-conflict core identifies that copy and
   /// shrinks its drop.  `frames` rebuilds the batch solver lazily — it is
-  /// dropped on rebuild() and when its temporary clauses pile up.
+  /// dropped on rebuild() and after Config::rebuild_tmp_threshold released
+  /// temporaries, like the main solver.
   bool batch_drop_probe(const Cube& cube, const std::vector<Lit>& group,
                         std::size_t level, const Frames& frames,
                         BatchProbeResult* out, const Deadline& deadline);
@@ -111,7 +116,8 @@ class SolverManager {
   /// replaying install history.
   void rebuild(const Frames& frames);
 
-  /// Rebuilds if enough temporary clauses have been retired.
+  /// Rebuilds once Config::rebuild_tmp_threshold temporaries have been
+  /// released since the last rebuild.
   void maybe_rebuild(const Frames& frames);
 
   /// Aggregate SAT counters across the current solver, the batch-probe
@@ -152,8 +158,8 @@ class SolverManager {
   // Batch-probe solver: variable-disjoint copies of R ∧ T (the widest group
   // the configuration can request: gen_batch, or gen_batch_max adaptively)
   // sharing one set of activation guards.  Built lazily from the frames on
-  // the first probe, dropped on rebuild() and when its throwaway temporary
-  // clauses exceed the rebuild threshold.
+  // the first probe, dropped on rebuild() and when its released
+  // temporaries reach the rebuild threshold.
   std::unique_ptr<sat::Solver> batch_solver_;
   std::vector<Var> batch_act_vars_;
   std::size_t batch_copies_ = 0;

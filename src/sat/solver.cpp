@@ -29,6 +29,21 @@ double luby(double y, int x) {
 Solver::Solver() = default;
 
 Var Solver::new_var() {
+  if (!free_vars_.empty()) {
+    // A released index whose clauses are all gone: reset it to a fresh
+    // variable's state.
+    const Var v = free_vars_.back();
+    free_vars_.pop_back();
+    assert(value(v).is_undef());
+    assert(watches_[Lit::make(v).index()].empty() &&
+           watches_[Lit::make(v, true).index()].empty());
+    polarity_[v] = 1;
+    decision_var_[v] = 1;
+    activity_[v] = 0.0;
+    order_heap_.update(v);
+    order_heap_.insert(v);
+    return v;
+  }
   const Var v = num_vars();
   watches_.emplace_back();
   watches_.emplace_back();
@@ -40,9 +55,90 @@ Var Solver::new_var() {
   decision_var_.push_back(1);
   activity_.push_back(0.0);
   seen_.push_back(0);
+  released_.push_back(0);
   order_heap_.reserve_var(v);
   order_heap_.insert(v);
   return v;
+}
+
+void Solver::release_var(Var v) {
+  assert(v >= 0 && v < num_vars() && released_[v] == 0);
+  released_[v] = 1;
+  decision_var_[v] = 0;
+  pending_release_.push_back(v);
+}
+
+bool Solver::mentions_released(const Clause& c) const {
+  for (const Lit l : c) {
+    if (released_[l.var()] != 0) return true;
+  }
+  return false;
+}
+
+void Solver::purge_released() {
+  // Unlink the doomed clauses from the clause lists.  One that is the
+  // reason of a kept trail literal above the root cuts the trail just below
+  // that literal's level; the literals after it may depend on it.
+  std::vector<ClauseRef> doomed;
+  std::int32_t cut = decision_level() + 1;
+  const auto unlink = [&](std::vector<ClauseRef>& refs) {
+    std::size_t j = 0;
+    for (const ClauseRef ref : refs) {
+      const Clause& c = arena_.deref(ref);
+      if (!mentions_released(c)) {
+        refs[j++] = ref;
+        continue;
+      }
+      if (clause_locked(ref) && level(c[0].var()) > 0) {
+        cut = std::min(cut, level(c[0].var()));
+      }
+      doomed.push_back(ref);
+    }
+    refs.resize(j);
+  };
+  unlink(clauses_);
+  unlink(learnts_);
+  cancel_until(cut - 1);
+
+  // Every watcher of a doomed clause sits in the list of one of its first
+  // two literals (the watched ones); collect those lists and sweep each
+  // once instead of searching them once per clause.
+  std::vector<char> dirty(watches_.size(), 0);
+  std::vector<std::int32_t> dirty_lists;
+  for (const ClauseRef ref : doomed) {
+    const Clause& c = arena_.deref(ref);
+    // Only a root-level reason can still be locked.  Conflict analysis
+    // never walks root reasons, so dropping the reference is enough.
+    if (clause_locked(ref)) vardata_[c[0].var()].reason = kClauseRefUndef;
+    for (const Lit w : {c[0], c[1]}) {
+      const std::int32_t idx = (~w).index();
+      if (dirty[idx] == 0) {
+        dirty[idx] = 1;
+        dirty_lists.push_back(idx);
+      }
+    }
+  }
+  for (const std::int32_t idx : dirty_lists) {
+    const bool list_var_released =
+        released_[Lit::from_index(idx).var()] != 0;
+    std::erase_if(bin_watches_[idx], [&](const BinWatcher& w) {
+      return list_var_released || released_[w.other.var()] != 0;
+    });
+    std::erase_if(watches_[idx], [&](const Watcher& w) {
+      return mentions_released(arena_.deref(w.cref));
+    });
+  }
+  for (const ClauseRef ref : doomed) arena_.free_clause(ref);
+
+  for (const Var v : pending_release_) {
+    assert(value(v).is_undef() || level(v) == 0);
+    released_[v] = 0;
+    // A variable fixed at the root stays assigned for good; only
+    // unassigned ones can start over as fresh variables.
+    if (value(v).is_undef()) free_vars_.push_back(v);
+  }
+  pending_release_.clear();
+  collect_garbage_if_needed();
 }
 
 void Solver::set_decision_var(Var v, bool decide) {
@@ -683,6 +779,10 @@ SolveResult Solver::solve(std::span<const Lit> assumptions,
     }
   }
   cancel_until(keep);
+  if (pending_release_.size() >= kReleaseBatch) {
+    purge_released();
+    keep = decision_level();
+  }
   if (keep > 0) {
     ++stats_.trail_reuse_hits;
     stats_.reused_levels += static_cast<std::uint64_t>(keep);

@@ -11,7 +11,11 @@
 ///   * final-conflict analysis producing an unsat core over assumptions
 ///     (used for cube shrinking and lifting in IC3),
 ///   * phase hints (IC3 seeds predecessor searches with cube polarities),
-///   * cooperative deadlines so model-checking budgets abort SAT calls.
+///   * cooperative deadlines so model-checking budgets abort SAT calls,
+///   * variable release (MiniSat's releaseVar): a per-query activation
+///     variable is handed back after its query, every clause mentioning it
+///     is removed and its index is recycled, so throwaway temporaries
+///     neither accumulate nor load the trail of later queries.
 ///
 /// Algorithmically: two-watched-literal propagation with implicit binary
 /// clause watches (2-literal clauses propagate from the watch list alone,
@@ -95,8 +99,23 @@ class Solver {
 
   // ----- problem construction ------------------------------------------
 
-  /// Creates a fresh variable and returns it.
+  /// Creates a fresh variable and returns it.  The index may be a
+  /// recycled one handed back by release_var().
   Var new_var();
+
+  /// Hands a variable back for good: the caller will never mention it
+  /// again, in a clause or an assumption.  It is excluded from decisions
+  /// at once, which keeps its clauses inert.  Every clause that mentions it —
+  /// typically a query's temporary clause plus the learnts derived from it
+  /// — is detached and freed once kReleaseBatch variables are pending, at
+  /// the start of the next solve(); the kept trail is cancelled only below
+  /// a literal whose reason is such a clause.  Sound because the variable
+  /// occurs nowhere else: every future query stays equisatisfiable, and a
+  /// learnt that does not mention it is implied by the remaining clauses.
+  void release_var(Var v);
+
+  /// Released variables that trigger one purge of their clauses.
+  static constexpr std::size_t kReleaseBatch = 64;
 
   /// Number of variables created so far.
   [[nodiscard]] int num_vars() const {
@@ -121,6 +140,10 @@ class Solver {
 
   /// True while no top-level contradiction has been derived.
   [[nodiscard]] bool okay() const { return ok_; }
+
+  /// Stored problem clauses and learnt clauses of two or more literals.
+  [[nodiscard]] std::size_t num_clauses() const { return clauses_.size(); }
+  [[nodiscard]] std::size_t num_learnts() const { return learnts_.size(); }
 
   // ----- solving ---------------------------------------------------------
 
@@ -259,6 +282,10 @@ class Solver {
   [[nodiscard]] bool clause_satisfied(const Clause& c) const;
   void reduce_db();
   void remove_satisfied(std::vector<ClauseRef>& refs);
+  [[nodiscard]] bool mentions_released(const Clause& c) const;
+  /// Removes every clause mentioning a pending released variable and
+  /// recycles the variables (see release_var).
+  void purge_released();
   void collect_garbage_if_needed();
   void relocate_all(ClauseArena& target);
 
@@ -276,6 +303,12 @@ class Solver {
   std::vector<char> decision_var_;  // eligible for branching
   std::vector<LBool> model_;
   std::vector<Lit> core_;
+
+  // release_var(): flags of released variables awaiting purge_released(),
+  // their list, and purged indices ready for new_var() to recycle.
+  std::vector<char> released_;
+  std::vector<Var> pending_release_;
+  std::vector<Var> free_vars_;
 
   std::vector<Lit> trail_;
   std::vector<std::int32_t> trail_lim_;

@@ -212,6 +212,39 @@ TEST(Lifter, PackedAndByteProduceIdenticalCubes) {
   }
 }
 
+TEST(Lifter, SatLifterStaysBoundedOverThousandsOfLifts) {
+  // The SAT lifter is never rebuilt: each lift's temporary clause ¬t′ is
+  // released after its solve.  Over more lifts than the main solver's
+  // rebuild threshold, every cube must stay sound and the solver must not
+  // accumulate temporary clauses or variables.
+  LiftFixture f(Config::LiftMode::kSat);
+  sat::Solver installed;
+  f.ts->install(installed);
+  const std::size_t base_clauses = installed.num_clauses();
+  const int base_vars = installed.num_vars();
+  constexpr std::size_t kLifts = 4096;
+  ASSERT_GT(kLifts, f.cfg.rebuild_tmp_threshold);
+  const sat::Solver& solver = *f.lifter->sat_solver();
+  for (std::size_t i = 0; i < kLifts; ++i) {
+    const std::uint64_t count = i & 0xFF;
+    const bool flag = ((i >> 8) & 1) != 0;
+    const Cube pred = f.full_state(count, flag);
+    const Cube succ =
+        (i & 1) != 0 ? f.full_state((count + 1) & 0xFF, flag)
+                     : Cube::from_lits({Lit::make(f.ts->state_var(8), !flag)});
+    const std::vector<Lit> inputs{Lit::make(f.ts->input_var(0), !flag)};
+    const Cube lifted = f.lifter->lift_predecessor(pred, inputs, succ, {});
+    ASSERT_TRUE(lifted.subset_of(pred)) << "lift " << i;
+    ASSERT_TRUE(f.lift_is_valid(lifted, inputs, succ))
+        << "lift " << i << ": " << lifted.to_string();
+    ASSERT_LE(solver.num_clauses(), base_clauses + sat::Solver::kReleaseBatch)
+        << "lift " << i;
+    ASSERT_LE(solver.num_vars(),
+              base_vars + 2 * static_cast<int>(sat::Solver::kReleaseBatch))
+        << "lift " << i;
+  }
+}
+
 TEST(Lifter, TernaryRespectsConstraints) {
   // Constrained shift register: the input is forced low; lifting a
   // predecessor must keep enough literals that the constraint evaluation

@@ -1,7 +1,8 @@
 /// Tests for the IC3-shaped SAT hot paths: assumption-prefix trail reuse,
-/// clause addition into a kept trail, and the solver-layer statistics —
-/// plus an engine-level determinism check over the checked-in fixture
-/// corpus (tests/corpus/) with reuse on and off.
+/// clause addition into a kept trail, released temporary activations, and
+/// the solver-layer statistics — plus an engine-level determinism check
+/// over the checked-in fixture corpus (tests/corpus/) with reuse on and
+/// off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -230,6 +231,170 @@ TEST(SolverStats, BinaryPropagationsAreCountedSeparately) {
   // The whole chain is binary: all implications ride the binary watches.
   EXPECT_GE(s.stats().binary_propagations,
             static_cast<std::uint64_t>(kChain - 1));
+}
+
+// IC3's relative-induction shape: a randomized script of permanent
+// clauses, queries whose temporary clause rides on a fresh activation that
+// is released right after the solve, and plain queries, all with shared
+// assumption prefixes.  Every verdict must match a fresh reference solver
+// holding only the permanent clauses plus the current temporary clause, so
+// a released clause — or a learnt derived from one — that survived or was
+// lost wrongly shows up as a diverging verdict.
+TEST(ReleasedTemporaries, RandomizedIncrementalEquivalence) {
+  constexpr int kVars = 50;
+  constexpr int kInitialClauses = 4 * kVars;
+  constexpr int kSteps = 500;
+  for (const bool reuse : {true, false}) {
+    for (std::uint64_t seed = 0; seed < 6; ++seed) {
+      Rng rng(0x7E1EA5E0 + seed);
+      Solver s;
+      s.set_trail_reuse(reuse);
+      for (int i = 0; i < kVars; ++i) s.new_var();
+      // The permanent clauses keep a planted model satisfied, so the
+      // formula stays satisfiable and the queries need real search (and
+      // learn clauses from the temporary ones) instead of failing at once.
+      std::vector<bool> planted(kVars);
+      for (int i = 0; i < kVars; ++i) planted[i] = rng.chance(0.5);
+      std::vector<std::vector<Lit>> clauses;  // permanent clauses only
+      std::vector<Lit> prefix;
+      std::size_t released = 0;
+      const auto add_planted_clause = [&] {
+        std::vector<Lit> clause;
+        bool holds = false;
+        while (!holds) {
+          clause.clear();
+          for (std::size_t j = 0; j < 3; ++j) {
+            const Lit l = random_lit(rng, kVars);
+            holds = holds || planted[l.var()] != l.sign();
+            clause.push_back(l);
+          }
+        }
+        s.add_clause(clause);
+        clauses.push_back(std::move(clause));
+      };
+      for (int i = 0; i < kInitialClauses; ++i) add_planted_clause();
+      for (int step = 0; step < kSteps; ++step) {
+        const double dice = rng.below(100) / 100.0;
+        if (dice < 0.1) {
+          add_planted_clause();
+          continue;
+        }
+        if (dice < 0.3) {
+          if (!prefix.empty() && rng.chance(0.5)) {
+            prefix.pop_back();
+          } else {
+            prefix.push_back(random_lit(rng, kVars));
+          }
+        }
+        std::vector<Lit> assumptions = prefix;
+        // Temporary clause ¬c under a fresh activation, as in
+        // SolverManager::relative_inductive.
+        const bool temporary = dice >= 0.45;
+        std::vector<Lit> tmp_clause;
+        Lit tmp = kLitUndef;
+        if (temporary) {
+          const std::size_t size = 1 + rng.below(3);
+          for (std::size_t j = 0; j < size; ++j) {
+            tmp_clause.push_back(random_lit(rng, kVars));
+          }
+          tmp = pos(s.new_var());
+          std::vector<Lit> guarded = tmp_clause;
+          guarded.push_back(~tmp);
+          s.add_clause(guarded);
+          assumptions.push_back(tmp);
+        }
+        const std::size_t tail = rng.below(3);
+        for (std::size_t j = 0; j < tail; ++j) {
+          assumptions.push_back(random_lit(rng, kVars));
+        }
+        const SolveResult got = s.solve(assumptions);
+
+        Solver reference;
+        for (int i = 0; i < s.num_vars(); ++i) reference.new_var();
+        std::vector<std::vector<Lit>> current = clauses;
+        if (temporary) {
+          current.push_back(tmp_clause);
+          current.back().push_back(~tmp);
+        }
+        for (const std::vector<Lit>& clause : current) {
+          reference.add_clause(clause);
+        }
+        ASSERT_EQ(got, reference.solve(assumptions))
+            << "reuse " << reuse << " seed " << seed << " step " << step
+            << ": verdict diverges from the reference solver";
+        ASSERT_NE(got, SolveResult::kUnknown);
+        if (got == SolveResult::kSat) {
+          expect_model_valid(s, current, assumptions, "released");
+        } else {
+          expect_core_valid(s, s.num_vars(), current, assumptions,
+                            "released");
+        }
+        if (temporary) {
+          s.release_var(tmp.var());
+          ++released;
+        }
+      }
+      ASSERT_GT(released, 2 * Solver::kReleaseBatch);
+      // Only the released variables of the last, not yet purged batch may
+      // still have clauses; purged indices are recycled.
+      EXPECT_LE(s.num_clauses(), clauses.size() + Solver::kReleaseBatch)
+          << "seed " << seed;
+      EXPECT_LE(s.num_vars(),
+                kVars + 2 * static_cast<int>(Solver::kReleaseBatch))
+          << "seed " << seed;
+    }
+  }
+}
+
+// A purge keeps the assumption prefix on the trail unless a removed clause
+// is the reason of a literal there; then the trail is cut below it.
+TEST(ReleasedTemporaries, PurgeCutsTheKeptTrailOnlyBelowRemovedReasons) {
+  Solver s;
+  const Var a = s.new_var();
+  const Var x = s.new_var();
+  const Var y = s.new_var();
+  const Var z = s.new_var();
+  s.add_binary(neg(a), pos(x));  // a → x
+  const std::size_t permanent = s.num_clauses();
+  const std::vector<Lit> prefix{pos(a)};
+  const auto run_batch = [&](bool reason_on_prefix) {
+    for (std::size_t i = 0; i < Solver::kReleaseBatch; ++i) {
+      const Var tmp = s.new_var();
+      if (reason_on_prefix) {
+        // Under a, x holds and the clause implies ¬tmp on the prefix level.
+        s.add_binary(neg(x), neg(tmp));
+      } else {
+        s.add_ternary(neg(y), neg(z), neg(tmp));
+      }
+      const std::vector<Lit> q{pos(a), pos(tmp)};
+      const SolveResult r = s.solve(q);
+      EXPECT_EQ(r, reason_on_prefix ? SolveResult::kUnsat : SolveResult::kSat);
+      s.release_var(tmp);
+    }
+  };
+
+  run_batch(/*reason_on_prefix=*/false);
+  std::uint64_t hits = s.stats().trail_reuse_hits;
+  ASSERT_EQ(s.solve(prefix), SolveResult::kSat);  // purges the batch
+  EXPECT_EQ(s.num_clauses(), permanent);
+  EXPECT_EQ(s.stats().trail_reuse_hits, hits + 1) << "prefix was dropped";
+
+  run_batch(/*reason_on_prefix=*/true);
+  hits = s.stats().trail_reuse_hits;
+  ASSERT_EQ(s.solve(prefix), SolveResult::kSat);  // purges, cuts level 1
+  EXPECT_EQ(s.num_clauses(), permanent);
+  EXPECT_EQ(s.num_learnts(), 0u);
+  EXPECT_EQ(s.stats().trail_reuse_hits, hits) << "removed reason kept";
+  EXPECT_EQ(s.model_value(pos(x)), l_True);
+  // The second batch ran on the first batch's recycled indices, and they
+  // start over as ordinary variables.
+  const int created = 4 + static_cast<int>(Solver::kReleaseBatch);
+  EXPECT_EQ(s.num_vars(), created);
+  const Var reused = s.new_var();
+  EXPECT_EQ(s.num_vars(), created);
+  const std::vector<Lit> q{pos(a), neg(reused)};
+  EXPECT_EQ(s.solve(q), SolveResult::kSat);
+  EXPECT_EQ(s.model_value(neg(reused)), l_True);
 }
 
 }  // namespace
