@@ -11,14 +11,11 @@
 
 #include "aig/aig.hpp"
 #include "aig/simulation.hpp"
-#include "cert/certificate.hpp"
-#include "check/checker.hpp"
 #include "circuits/families.hpp"
 #include "ic3/cube.hpp"
 #include "ic3/engine.hpp"
 #include "obs/trace.hpp"
 #include "sat/solver.hpp"
-#include "serve/verdict_cache.hpp"
 #include "ts/transition_system.hpp"
 #include "util/rng.hpp"
 
@@ -289,71 +286,6 @@ void BM_BatchedDropProbes(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BatchedDropProbes)->Arg(1)->Arg(4)->Arg(8);
-
-void BM_CanonicalHash(benchmark::State& state) {
-  // The serving layer's key derivation: one structural FNV-1a pass over the
-  // parsed AIG (inputs, latches + resets, gates, outputs — no comments or
-  // symbol names).  This runs once per submitted circuit, so it has to be
-  // negligible next to even a trivial solve.  Arg: ring size.
-  const auto cc = circuits::token_ring_safe(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(aig::canonical_hash(cc.aig));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(cc.aig.num_ands()));
-}
-BENCHMARK(BM_CanonicalHash)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_VerdictCacheLookup(benchmark::State& state) {
-  // The three costs a cache client can pay: Arg 0 — a miss (hash probe
-  // only); Arg 1 — a raw hit via peek(), the map cost with no soundness
-  // check; Arg 2 — a serving hit via lookup(), which re-checks the stored
-  // certificate against the submitted circuit before returning it.  The
-  // Arg 1 / Arg 2 gap is the price of revalidate-before-serve; the win
-  // claimed by the warm-rerun gate is cold-solve minus Arg 2, not Arg 1.
-  const int mode = static_cast<int>(state.range(0));
-  const auto cc = circuits::token_ring_safe(8);
-  const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig, 0);
-
-  check::CheckOptions co;
-  co.engine_spec = "ic3-ctg";
-  co.budget_ms = 60000;
-  const check::CheckResult r = check::check_aig(cc.aig, co);
-  std::string why;
-  const std::optional<cert::Certificate> c =
-      cert::from_verdict(ts, r.verdict, r.invariant, r.trace, r.kind_k,
-                         r.kind_simple_path, /*property_index=*/0, &why);
-  serve::CacheEntry entry;
-  entry.hash = aig::canonical_hash_hex(cc.aig);
-  entry.verdict = r.verdict;
-  entry.engine = co.engine_spec;
-  entry.seconds = r.seconds;
-  entry.frames = r.frames;
-  entry.cert_text = c ? cert::to_text(*c) : std::string();
-  entry.case_name = cc.name;
-  entry.timestamp = "2026-01-01T00:00:00Z";
-
-  serve::VerdictCache cache;
-  if (!cache.store(entry)) {
-    state.SkipWithError("failed to store benchmark cache entry");
-    return;
-  }
-  const std::string absent(16, '0');
-  for (auto _ : state) {
-    switch (mode) {
-      case 0:
-        benchmark::DoNotOptimize(cache.lookup(absent, ts));
-        break;
-      case 1:
-        benchmark::DoNotOptimize(cache.peek(entry.hash));
-        break;
-      default:
-        benchmark::DoNotOptimize(cache.lookup(entry.hash, ts));
-        break;
-    }
-  }
-}
-BENCHMARK(BM_VerdictCacheLookup)->Arg(0)->Arg(1)->Arg(2);
 
 // A stand-in for a zone-instrumented engine step: a few microseconds of
 // register-only work, so the zone cost shows up as a percentage a CI gate

@@ -157,61 +157,4 @@ Aig extract_coi(const Aig& aig, std::span<const AigLit> roots,
   return out;
 }
 
-namespace {
-
-// Local FNV-1a so the AIG layer does not depend on the corpus subsystem
-// (corpus::fnv1a_hex hashes raw file bytes; this hashes parsed structure).
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fnv_byte(std::uint64_t& h, std::uint8_t byte) {
-  h = (h ^ byte) * kFnvPrime;
-}
-
-void fnv_u64(std::uint64_t& h, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) fnv_byte(h, (value >> (8 * i)) & 0xFF);
-}
-
-}  // namespace
-
-std::uint64_t canonical_hash(const Aig& aig) {
-  std::uint64_t h = kFnvOffset;
-  // Section tags keep e.g. "two inputs" distinct from "one input, one latch"
-  // even when the literal codes line up.
-  fnv_byte(h, 'I');
-  fnv_u64(h, aig.num_inputs());
-  fnv_byte(h, 'L');
-  fnv_u64(h, aig.num_latches());
-  for (const std::uint32_t node : aig.latches()) {
-    fnv_byte(h, static_cast<std::uint8_t>(aig.init(node).code()));
-    fnv_u64(h, aig.next(node).code());
-  }
-  fnv_byte(h, 'A');
-  fnv_u64(h, aig.num_ands());
-  for (const std::uint32_t node : aig.ands()) {
-    fnv_u64(h, aig.fanin0(node).code());
-    fnv_u64(h, aig.fanin1(node).code());
-  }
-  fnv_byte(h, 'O');
-  fnv_u64(h, aig.outputs().size());
-  for (const AigLit lit : aig.outputs()) fnv_u64(h, lit.code());
-  fnv_byte(h, 'B');
-  fnv_u64(h, aig.bads().size());
-  for (const AigLit lit : aig.bads()) fnv_u64(h, lit.code());
-  fnv_byte(h, 'C');
-  fnv_u64(h, aig.constraints().size());
-  for (const AigLit lit : aig.constraints()) fnv_u64(h, lit.code());
-  return h;
-}
-
-std::string canonical_hash_hex(const Aig& aig) {
-  static const char* digits = "0123456789abcdef";
-  const std::uint64_t h = canonical_hash(aig);
-  std::string out(16, '0');
-  for (int i = 0; i < 16; ++i) {
-    out[15 - i] = digits[(h >> (4 * i)) & 0xF];
-  }
-  return out;
-}
-
 }  // namespace pilot::aig

@@ -196,20 +196,6 @@ inline constexpr AigLit kInvalidLit = AigLit::from_code(0xFFFFFFFFu);
 /// Translates a literal through a map produced by extract_coi.
 AigLit map_lit(AigLit lit, const LitMap& lit_map);
 
-/// FNV-1a hash of the canonical circuit structure: input/latch/and counts,
-/// per-latch reset + next-state literal codes, per-gate fanin codes, and the
-/// output/bad/constraint literal codes — in creation (= topological) order.
-/// Symbol names and comments are excluded, so two AIGER files that differ
-/// only in whitespace, comments, or symbol tables hash identically once
-/// parsed, while any structural edit (one gate, one literal) changes the
-/// hash.  This is the verdict-cache key; the raw-byte `corpus::fnv1a_hex`
-/// stays the parse-cache key.
-std::uint64_t canonical_hash(const Aig& aig);
-
-/// canonical_hash rendered as 16 lowercase hex digits (matches the
-/// corpus content-hash format).
-std::string canonical_hash_hex(const Aig& aig);
-
 /// Extracts the cone of influence of `roots`: the sub-AIG containing every
 /// node that can reach a root (through combinational fanin or latch
 /// next-state functions).  Outputs/bads/constraints are NOT copied; callers

@@ -4,21 +4,16 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
 #include <utility>
 
 #include "cert/certificate.hpp"
-#include "corpus/results_db.hpp"
 #include "engine/backend.hpp"
 #include "engine/portfolio.hpp"
 #include "ic3/gen_strategy.hpp"
-#include "serve/advisor.hpp"
-#include "serve/verdict_cache.hpp"
 #include "ts/transition_system.hpp"
-#include "util/timer.hpp"
 
 namespace pilot::check {
 
@@ -43,18 +38,6 @@ struct LoadedCase {
   std::optional<aig::Aig> aig;
   std::string error;
 };
-
-/// Non-throwing spec validity probe for advisor recommendations: history
-/// can name engines a different build no longer registers, and a stale
-/// recommendation must degrade to "no advice", not kill the campaign.
-bool spec_is_valid(const std::string& spec) {
-  try {
-    if (engine::match_portfolio_spec(spec).has_value()) return true;
-    return engine::backend_registered(spec);
-  } catch (const std::exception&) {
-    return false;
-  }
-}
 
 /// File-name-safe rendering of an engine spec ("portfolio:a+b" →
 /// "portfolio-a-b") for certificate paths.
@@ -138,55 +121,6 @@ std::vector<RunRecord> run_matrix(const std::vector<corpus::Case>& cases,
         continue;
       }
 
-      // Canonical structure hash + shape features: the cache/advisor key,
-      // recorded on every row so future campaigns become advisor history.
-      rec.content_hash = aig::canonical_hash_hex(*lc.aig);
-      rec.num_inputs = lc.aig->num_inputs();
-      rec.num_latches = lc.aig->num_latches();
-      rec.num_ands = lc.aig->num_ands();
-
-      // The transition system is needed by the cache (revalidation) and the
-      // certify/store paths; built at most once per job.
-      std::optional<ts::TransitionSystem> ts_storage;
-      const auto get_ts = [&]() -> const ts::TransitionSystem& {
-        if (!ts_storage.has_value()) {
-          ts_storage = ts::TransitionSystem::from_aig(*lc.aig, 0);
-        }
-        return *ts_storage;
-      };
-
-      // Tier 1 — verdict cache: a revalidated hit skips the engine
-      // entirely; the record's time is the lookup + re-check cost.
-      if (options.cache != nullptr) {
-        Timer lookup_timer;
-        const std::optional<serve::CacheEntry> hit =
-            options.cache->lookup(rec.content_hash, get_ts(), options.seed);
-        if (hit.has_value()) {
-          rec.verdict = hit->verdict;
-          rec.solved = true;
-          rec.seconds = lookup_timer.seconds();
-          rec.frames = hit->frames;
-          rec.cache_status = "hit";
-          rec.cert_status = "ok";  // lookup() re-checked the certificate
-          ++rec.stats.num_cert_checks;
-          if (rec.solved && cc.expected != corpus::Expected::kUnknown) {
-            const corpus::Expected got = corpus::expected_from_safe(
-                rec.verdict == ic3::Verdict::kSafe);
-            if (got != cc.expected) {
-              std::fprintf(stderr,
-                           "SOUNDNESS VIOLATION: %s served from cache as %s "
-                           "but the case is expected %s\n",
-                           cc.name.c_str(), ic3::to_string(rec.verdict),
-                           corpus::to_string(cc.expected));
-              soundness_violated.store(true);
-            }
-          }
-          records[j] = std::move(rec);
-          continue;
-        }
-        rec.cache_status = "miss";
-      }
-
       CheckOptions co;
       co.engine_spec = spec;
       co.gen_spec = options.gen_spec;
@@ -200,43 +134,11 @@ std::vector<RunRecord> run_matrix(const std::vector<corpus::Case>& cases,
       co.verify_witness = options.verify_witness;
       co.cancel = options.cancel;
 
-      // Tier 2 — advisor: open with the engine + ~1.5× budget that solved
-      // the nearest recorded neighbour; an UNKNOWN there falls back to the
-      // job's own spec under the full budget.  Either way the verdict goes
-      // through the same certification as an unadvised run.
-      CheckResult res;
-      bool advised_solved = false;
-      double advised_seconds = 0.0;
-      if (options.advisor != nullptr) {
-        const std::optional<serve::Advice> adv = options.advisor->advise(
-            rec.content_hash, rec.num_inputs, rec.num_latches, rec.num_ands);
-        const bool usable =
-            adv.has_value() && spec_is_valid(adv->engine_spec) &&
-            (adv->engine_spec != spec ||
-             (options.budget_ms <= 0 || adv->budget_ms < options.budget_ms));
-        if (usable) {
-          CheckOptions advised = co;
-          advised.engine_spec = adv->engine_spec;
-          advised.budget_ms = options.budget_ms > 0
-                                  ? std::min(adv->budget_ms, options.budget_ms)
-                                  : adv->budget_ms;
-          CheckResult ares = check_aig(*lc.aig, advised);
-          advised_seconds = ares.seconds;
-          if (ares.verdict != ic3::Verdict::kUnknown) {
-            res = std::move(ares);
-            advised_solved = true;
-            rec.advice = (adv->exact ? "exact:" : "near:") + adv->source_case +
-                         "@" + std::to_string(advised.budget_ms) + "ms";
-          } else {
-            rec.advice = "fallback";
-          }
-        }
-      }
-      if (!advised_solved) res = check_aig(*lc.aig, co);
+      const CheckResult res = check_aig(*lc.aig, co);
 
       rec.verdict = res.verdict;
       rec.solved = res.verdict != ic3::Verdict::kUnknown;
-      rec.seconds = res.seconds + (advised_solved ? 0.0 : advised_seconds);
+      rec.seconds = res.seconds;
       rec.frames = res.frames;
       rec.stats = res.stats;
 
@@ -259,63 +161,39 @@ std::vector<RunRecord> run_matrix(const std::vector<corpus::Case>& cases,
                      res.witness_error.c_str());
         soundness_violated.store(true);
       }
-      // Certification pass (--certify) and cache store share one
-      // certificate build: --certify gates soundness on it; a cache miss
-      // stores the verdict only when the certificate independently checks,
-      // so nothing uncheckable ever enters the cache.
-      const bool want_store = options.cache != nullptr && rec.solved;
-      if (rec.solved && (options.certify || want_store)) {
-        const ts::TransitionSystem& ts = get_ts();
+      if (rec.solved && options.certify) {
+        const ts::TransitionSystem ts =
+            ts::TransitionSystem::from_aig(*lc.aig, 0);
         std::string why;
         const std::optional<cert::Certificate> c = cert::from_verdict(
             ts, res.verdict, res.invariant, res.trace, res.kind_k,
             res.kind_simple_path, /*property_index=*/0, &why);
         ++rec.stats.num_cert_checks;
-        std::string status;
         if (c.has_value()) {
           const ic3::CheckOutcome outcome = cert::check(ts, *c, options.seed);
           if (outcome.ok) {
-            status = "ok";
-            if (options.certify && !options.cert_dir.empty()) {
+            rec.cert_status = "ok";
+            if (!options.cert_dir.empty()) {
               const std::string path = options.cert_dir + "/" + cc.name +
                                        "__" + sanitize_engine_spec(spec) +
                                        ".cert";
               if (cert::save(*c, path)) {
                 rec.cert_path = path;
               } else {
-                status = "failed: cannot write " + path;
+                rec.cert_status = "failed: cannot write " + path;
               }
             }
           } else {
-            status = "failed: " + outcome.reason;
+            rec.cert_status = "failed: " + outcome.reason;
           }
         } else {
-          status = "failed: " + why;
+          rec.cert_status = "failed: " + why;
         }
-        if (want_store && status == "ok") {
-          serve::CacheEntry entry;
-          entry.hash = rec.content_hash;
-          entry.verdict = rec.verdict;
-          entry.engine = spec;
-          entry.seconds = rec.seconds;
-          entry.frames = rec.frames;
-          entry.cert_text = cert::to_text(*c);
-          entry.case_name = cc.name;
-          entry.timestamp = corpus::now_utc_iso8601();
-          options.cache->store(entry);
-        }
-        if (options.certify) {
-          // Only --certify publishes the status and trips the soundness
-          // gate; a store-only certification failure just skips the store
-          // (the verdict itself may still be fine, e.g. an engine that
-          // returned SAFE without an invariant payload).
-          rec.cert_status = status;
-          if (status != "ok") {
-            ++rec.stats.num_cert_failures;
-            std::fprintf(stderr, "CERTIFICATE CHECK FAILED: %s with %s: %s\n",
-                         cc.name.c_str(), spec.c_str(), status.c_str());
-            soundness_violated.store(true);
-          }
+        if (rec.cert_status != "ok") {
+          ++rec.stats.num_cert_failures;
+          std::fprintf(stderr, "CERTIFICATE CHECK FAILED: %s with %s: %s\n",
+                       cc.name.c_str(), spec.c_str(), rec.cert_status.c_str());
+          soundness_violated.store(true);
         }
       }
       records[j] = std::move(rec);

@@ -24,11 +24,6 @@
 #include "corpus/corpus.hpp"
 #include "util/cancel.hpp"
 
-namespace pilot::serve {
-class VerdictCache;
-class Advisor;
-}  // namespace pilot::serve
-
 namespace pilot::check {
 
 struct RunRecord {
@@ -52,21 +47,6 @@ struct RunRecord {
   std::string cert_status;
   /// Path of the saved certificate file (only with certify + cert_dir).
   std::string cert_path;
-  /// Canonical AIG structure hash (aig::canonical_hash_hex) — the verdict
-  /// cache / advisor key.  Empty when the case failed to load.
-  std::string content_hash;
-  /// Circuit shape (advisor nearest-neighbour features), recorded for
-  /// every loaded case.
-  std::size_t num_inputs = 0;
-  std::size_t num_latches = 0;
-  std::size_t num_ands = 0;
-  /// Verdict-cache outcome for this record: "hit" (served from cache after
-  /// revalidation), "miss" (solved fresh, stored), or "" (no cache).
-  std::string cache_status;
-  /// Advisor decision applied on a miss, e.g.
-  /// "exact:ring4@150ms" / "near:shift8@300ms" / "fallback" (advised run
-  /// returned UNKNOWN, full-budget rerun followed); "" = no advisor.
-  std::string advice;
   ic3::Ic3Stats stats;
 };
 
@@ -100,15 +80,6 @@ struct RunMatrixOptions {
   /// "<cert_dir>/<case>__<engine>.cert" and the path recorded in
   /// RunRecord::cert_path.  The directory must already exist.
   std::string cert_dir;
-  /// Verdict cache (nullable, shared across jobs): each job looks its
-  /// canonical hash up first — a revalidated hit skips the engine entirely
-  /// — and stores its certified verdict back on a miss.  Implies building
-  /// a certificate per solved miss even when `certify` is off.
-  serve::VerdictCache* cache = nullptr;
-  /// Budget advisor (nullable): on a cache miss, the advised engine runs
-  /// first under the advised (~1.5× neighbour) budget; UNKNOWN falls back
-  /// to the job's own engine spec and full budget.
-  const serve::Advisor* advisor = nullptr;
   /// Abort on verdict/expectation mismatch (soundness gate).  Cases with
   /// expected == kUnknown are exempt.
   bool strict = true;

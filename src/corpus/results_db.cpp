@@ -224,19 +224,6 @@ json::Value to_json(const RunRow& row) {
   // rows written without --certify stay byte-identical to older builds.
   if (!r.cert_status.empty()) o["cert_status"] = r.cert_status;
   if (!r.cert_path.empty()) o["cert_path"] = r.cert_path;
-  // Serving-layer fields (PR 10): the canonical structure hash + shape
-  // features every loaded case records (advisor history), and the
-  // cache/advisor outcomes when a cache or advisor was attached.  All
-  // absent in older rows; the loader's null/0 fallbacks keep existing
-  // baselines loadable without regeneration.
-  if (!r.content_hash.empty()) {
-    o["content_hash"] = r.content_hash;
-    o["inputs"] = r.num_inputs;
-    o["latches"] = r.num_latches;
-    o["ands"] = r.num_ands;
-  }
-  if (!r.cache_status.empty()) o["cache"] = r.cache_status;
-  if (!r.advice.empty()) o["advice"] = r.advice;
   o["stats"] = stats_to_json(r.stats);
   o["corpus"] = row.context.corpus;
   o["commit"] = row.context.commit;
@@ -267,13 +254,8 @@ RunRow row_from_json(const json::Value& v) {
   r.error = v.at("error").as_string();
   r.cert_status = v.at("cert_status").as_string();  // absent in old rows
   r.cert_path = v.at("cert_path").as_string();      // absent in old rows
-  // Serving-layer fields (PR 10) — absent in old rows, same tolerance.
-  r.content_hash = v.at("content_hash").as_string();
-  r.num_inputs = v.at("inputs").as_uint();
-  r.num_latches = v.at("latches").as_uint();
-  r.num_ands = v.at("ands").as_uint();
-  r.cache_status = v.at("cache").as_string();
-  r.advice = v.at("advice").as_string();
+  // Rows from older builds may also carry content_hash/inputs/latches/
+  // ands/cache/advice; like any key not read here, they are ignored.
   r.stats = stats_from_json(v.at("stats"));
   row.context.corpus = v.at("corpus").as_string();
   row.context.commit = v.at("commit").as_string();

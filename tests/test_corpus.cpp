@@ -1,17 +1,21 @@
 /// Corpus-subsystem tests: the Case bridge over synthetic suites, manifest
 /// loading, directory scanning with the parse-metadata cache (cold, warm,
 /// stale, malformed), suite export round trips, and run_matrix over a mixed
-/// synthetic + on-disk corpus.
+/// synthetic + on-disk corpus, and the deterministic shard partition with
+/// its merge-equivalence.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 
 #include "aig/aiger_io.hpp"
 #include "check/runner.hpp"
 #include "circuits/families.hpp"
 #include "corpus/corpus.hpp"
 #include "corpus/manifest.hpp"
+#include "corpus/results_db.hpp"
 
 namespace fs = std::filesystem;
 
@@ -283,6 +287,79 @@ TEST(RunMatrix, ExternalCancelShortCircuitsRemainingJobs) {
   for (const auto& r : records) {
     EXPECT_FALSE(r.solved);
     EXPECT_EQ(r.verdict, ic3::Verdict::kUnknown);
+  }
+}
+
+// ----- sharding --------------------------------------------------------------
+
+TEST(ShardSpec, ParsesAndRejects) {
+  const corpus::ShardSpec s = corpus::parse_shard_spec("2/5");
+  EXPECT_EQ(s.index, 2u);
+  EXPECT_EQ(s.count, 5u);
+  EXPECT_THROW((void)corpus::parse_shard_spec(""), std::invalid_argument);
+  EXPECT_THROW((void)corpus::parse_shard_spec("3"), std::invalid_argument);
+  EXPECT_THROW((void)corpus::parse_shard_spec("5/5"), std::invalid_argument);
+  EXPECT_THROW((void)corpus::parse_shard_spec("0/0"), std::invalid_argument);
+  EXPECT_THROW((void)corpus::parse_shard_spec("a/b"), std::invalid_argument);
+}
+
+TEST(ShardCases, PartitionIsDisjointCompleteAndOrderIndependent) {
+  const std::vector<corpus::Case> cases =
+      corpus::suite_cases(circuits::SuiteSize::kTiny);
+  ASSERT_FALSE(cases.empty());
+  for (const std::size_t n : {2u, 3u, 5u}) {
+    std::multiset<std::string> reassembled;
+    std::set<std::string> seen;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::vector<corpus::Case> shard =
+          corpus::shard_cases(cases, {i, n});
+      for (const corpus::Case& c : shard) {
+        reassembled.insert(c.name);
+        EXPECT_TRUE(seen.insert(c.name).second)
+            << c.name << " landed in two shards (n=" << n << ")";
+      }
+    }
+    EXPECT_EQ(reassembled.size(), cases.size()) << "n=" << n;
+  }
+
+  // Membership is keyed by the case, not its position: a reversed corpus
+  // shards identically.
+  std::vector<corpus::Case> reversed(cases.rbegin(), cases.rend());
+  const auto names = [](const std::vector<corpus::Case>& v) {
+    std::set<std::string> out;
+    for (const corpus::Case& c : v) out.insert(c.name);
+    return out;
+  };
+  EXPECT_EQ(names(corpus::shard_cases(cases, {0, 3})),
+            names(corpus::shard_cases(reversed, {0, 3})));
+}
+
+TEST(ShardCases, MergedShardCampaignMatchesUnsharded) {
+  const std::vector<corpus::Case> cases =
+      corpus::suite_cases(circuits::SuiteSize::kTiny);
+  check::RunMatrixOptions mo;
+  mo.budget_ms = 60000;
+  mo.jobs = 2;
+  mo.strict = false;
+  const std::vector<check::RunRecord> all =
+      check::run_matrix(cases, {"ic3-ctg"}, mo);
+
+  corpus::ResultsDb merged;
+  const corpus::RunContext ctx;
+  for (const std::size_t i : {0u, 1u}) {
+    const std::vector<check::RunRecord> part = check::run_matrix(
+        corpus::shard_cases(cases, {i, 2}), {"ic3-ctg"}, mo);
+    for (const check::RunRecord& r : part) merged.add({r, ctx});
+  }
+  merged.dedup();
+  ASSERT_EQ(merged.rows().size(), all.size());
+  std::map<std::string, ic3::Verdict> by_name;
+  for (const corpus::RunRow& row : merged.rows()) {
+    by_name[row.record.case_name] = row.record.verdict;
+  }
+  for (const check::RunRecord& r : all) {
+    ASSERT_TRUE(by_name.count(r.case_name)) << r.case_name;
+    EXPECT_EQ(by_name[r.case_name], r.verdict) << r.case_name;
   }
 }
 

@@ -126,9 +126,11 @@ TEST(ResultsDb, EngineCountersAbsentFromOlderRowsReadAsZero) {
 /// A row as older builds wrote it: it carries the SAT simplification
 /// counters sat_subsumed, sat_strengthened, sat_vivified_lits,
 /// sat_probe_failed_lits and sat_scc_merged, the coarse timers
-/// time_generalize, time_predict and time_propagate, and phase rows for the
-/// SAT simplification phases.
-constexpr const char* kOlderBuildRow = R"({"ands":24,"budget_ms":2000,)"
+/// time_generalize, time_predict and time_propagate, phase rows for the
+/// SAT simplification phases, and the verdict-cache columns content_hash,
+/// inputs, latches, ands, cache and advice.
+constexpr const char* kOlderBuildRow =
+    R"({"advice":"near:ring4@150ms","ands":24,"budget_ms":2000,"cache":"hit",)"
     R"("case":"counter10_unsafe","commit":"","content_hash":"c2dc4859d0dc0391",)"
     R"("corpus":"tests/corpus","engine":"ic3-ctg","expected":"unsafe",)"
     R"("family":"aiger","frames":5,"inputs":0,"latches":6,"seconds":0.00066,)"
@@ -183,7 +185,23 @@ TEST(ResultsDb, OlderBuildRowLoadsAndRoundTripsWithoutRemovedFields) {
         "time_predict", "time_propagate"}) {
     EXPECT_FALSE(stats.contains(field)) << field;
   }
+  const json::Value top = json::parse(written);
+  for (const char* field :
+       {"content_hash", "inputs", "latches", "ands", "cache", "advice"}) {
+    EXPECT_FALSE(top.contains(field)) << field;
+  }
   EXPECT_EQ(to_json(row_from_json(json::parse(written))).dump(), written);
+
+  // The old row and its rewrite diff clean against each other.
+  ResultsDb old_db;
+  old_db.add(row);
+  ResultsDb new_db;
+  new_db.add(row_from_json(top));
+  const DiffOptions options;
+  const DiffReport report = diff_runs(old_db, new_db, options);
+  EXPECT_FALSE(report.failed(options));
+  EXPECT_TRUE(report.verdict_flips.empty());
+  EXPECT_TRUE(report.only_in_baseline.empty());
 }
 
 TEST(ResultsDb, CommittedBaselineLoadsAndDiffsCleanAfterRewrite) {

@@ -7,7 +7,6 @@
 ///   pilot-bench run --corpus <manifest|dir|suite:SIZE> --engines a+b
 ///       [--budget-ms N] [--jobs N] [--out runs.jsonl]
 ///       [--certify] [--cert-dir DIR] [--shard i/n]
-///       [--cache cache.jsonl] [--advise-from history.jsonl]
 ///   pilot-bench merge --out merged.jsonl <shard.jsonl>...
 ///   pilot-bench fuzz [--cases N] [--seed U64|from-commit] [--engines a+b]
 ///       [--budget-ms N] [--out DIR]
@@ -62,8 +61,6 @@
 #include "corpus/manifest.hpp"
 #include "corpus/report.hpp"
 #include "corpus/results_db.hpp"
-#include "serve/advisor.hpp"
-#include "serve/verdict_cache.hpp"
 #include "ts/transition_system.hpp"
 #include "util/json.hpp"
 #include "util/options.hpp"
@@ -181,8 +178,6 @@ int cmd_run(int argc, const char* const* argv) {
   bool certify = false;
   std::string cert_dir;
   std::string shard_text;
-  std::string cache_path;
-  std::string advise_from;
   OptionParser parser(
       "pilot-bench run — run a (corpus × engines) campaign into a results "
       "db");
@@ -212,13 +207,6 @@ int cmd_run(int argc, const char* const* argv) {
                     "run only shard i of n (\"i/n\"): a deterministic "
                     "content-hash partition, reassembled with `pilot-bench "
                     "merge`");
-  parser.add_string("cache", &cache_path,
-                    "JSONL verdict cache: serve revalidated hits, store new "
-                    "certified verdicts (created when missing)");
-  parser.add_string("advise-from", &advise_from,
-                    "results db mined for engine/budget advice on cache "
-                    "misses (nearest prior instance opens, full spec is the "
-                    "fallback)");
   parser.add_int("budget-ms", &budget_ms, "per-case wall-clock budget");
   parser.add_int("jobs", &jobs, "worker threads (0 = hardware concurrency)");
   parser.add_int("seed", &seed, "engine seed");
@@ -269,29 +257,11 @@ int cmd_run(int argc, const char* const* argv) {
 
   std::optional<corpus::ShardSpec> shard;
   if (!shard_text.empty()) shard = corpus::parse_shard_spec(shard_text);
-  std::optional<serve::VerdictCache> cache;
-  if (!cache_path.empty()) {
-    cache.emplace(cache_path);
-    options.cache = &*cache;
-    std::fprintf(stderr, "[pilot-bench] cache %s: %zu entries loaded\n",
-                 cache_path.c_str(), cache->size());
-  }
-  serve::Advisor advisor;
-  if (!advise_from.empty()) {
-    advisor = serve::Advisor::from_file(advise_from);
-    options.advisor = &advisor;
-    std::fprintf(stderr, "[pilot-bench] advisor: %zu history rows from %s\n",
-                 advisor.size(), advise_from.c_str());
-  }
 
   corpus::ResultsDb::Writer writer(out_path, truncate);
   const std::vector<check::RunRecord> records =
       run_campaign(corpus_spec, split_engines(engines_text), options, &writer,
                    nullptr, shard.has_value() ? &*shard : nullptr);
-  if (cache.has_value()) {
-    std::fprintf(stderr, "[pilot-bench] cache: %s\n",
-                 cache->summary().c_str());
-  }
   const int rc = report_campaign(records, out_path);
   std::size_t cert_failures = 0;
   for (const check::RunRecord& r : records) {

@@ -6,8 +6,6 @@
 ///   pilot --corpus <manifest|dir> [options]    batch-check a corpus
 ///   pilot --family FAMILY [options]            check a built-in circuit
 ///   pilot --family FAMILY --family-out out.aag write the circuit, don't check
-///   pilot serve --socket PATH [options]        Unix-socket verdict server
-///   pilot submit --socket PATH file.aag ...    client for a running server
 ///
 /// Engine selection: `--engine` picks a backend (or portfolio[:a+b+c] /
 /// portfolio-x[:a+b+c] with lemma exchange); `--gen` overrides the
@@ -28,16 +26,11 @@
 ///   0 = SAFE, 1 = UNSAFE, 2 = UNKNOWN, 3 = usage/parse/internal error
 /// Batch mode: 0 = completed, 1 = a verdict contradicted the manifest's
 /// expected status, 3 = a case failed to load or a usage/internal error.
-#include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <exception>
-#include <fstream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -53,9 +46,6 @@
 #include "ic3/gen_strategy.hpp"
 #include "ic3/witness.hpp"
 #include "obs/trace.hpp"
-#include "serve/advisor.hpp"
-#include "serve/server.hpp"
-#include "serve/verdict_cache.hpp"
 #include "ts/transition_system.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
@@ -213,226 +203,12 @@ int run_certify(int argc, char** argv) {
   }
 }
 
-// --- serve / submit ---------------------------------------------------------
-
-/// SIGTERM/SIGINT trampoline for `pilot serve`: signal handlers may only
-/// touch a sig_atomic_t flag, which the main thread polls and converts into
-/// Server::request_stop() (the graceful drain).
-volatile std::sig_atomic_t g_serve_stop = 0;
-void handle_stop_signal(int) { g_serve_stop = 1; }
-
-/// `pilot serve --socket PATH` — the Unix-socket verdict server.
-/// argv[0] is "serve" (main() shifts the program name off).
-int run_serve(int argc, char** argv) {
-  std::string socket_path;
-  std::string engine = "portfolio";
-  std::int64_t budget_ms = 10000;
-  std::int64_t seed = 0;
-  std::int64_t queue = 64;
-  std::int64_t jobs = 0;
-  std::string cache_path;
-  std::string history_path;
-  std::string log_level;
-  OptionParser parser(
-      "pilot serve — long-running verdict server on a Unix stream socket.\n"
-      "usage: pilot serve --socket PATH [options]\n"
-      "One request per connection: 'ping', 'stats', 'stop', or\n"
-      "'check <nbytes>' followed by <nbytes> of AIGER text (see `pilot "
-      "submit`).\nEvery check runs the cache → advisor → engine pipeline; "
-      "SIGTERM or a 'stop' request drains queued jobs before exiting.");
-  parser.add_string("socket", &socket_path,
-                    "filesystem path to listen on (required; a stale socket "
-                    "file is replaced)");
-  parser.add_string("engine", &engine,
-                    "engine spec for cache misses (default portfolio)");
-  parser.add_int("budget-ms", &budget_ms, "per-request wall-clock budget");
-  parser.add_int("seed", &seed, "engine randomization seed");
-  parser.add_int("queue", &queue,
-                 "bounded request-queue capacity; a full queue answers "
-                 "'error queue full' immediately");
-  parser.add_int("jobs", &jobs,
-                 "worker threads (0 = hardware concurrency)");
-  parser.add_string("cache", &cache_path,
-                    "JSONL verdict cache: serve revalidated hits, store new "
-                    "certified verdicts (created when missing)");
-  parser.add_string("history", &history_path,
-                    "results db mined for engine/budget advice on cache "
-                    "misses");
-  parser.add_choice("log-level", &log_level,
-                    {"silent", "error", "warn", "info", "debug"},
-                    "log verbosity (overrides the PILOT_LOG environment "
-                    "variable)");
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::fputs(parser.help_text().c_str(), stdout);
-      return 0;
-    }
-  }
-  if (!parser.parse(argc, argv)) return 3;
-  logcfg::init_from_env();
-  if (!log_level.empty()) {
-    logcfg::set_level(*logcfg::level_from_string(log_level));
-  }
-  if (socket_path.empty()) {
-    std::fprintf(stderr, "pilot serve: --socket is required\n");
-    return 3;
-  }
-
-  try {
-    std::optional<serve::VerdictCache> cache;
-    if (!cache_path.empty()) {
-      cache.emplace(cache_path);
-      std::fprintf(stderr, "[pilot] cache %s: %zu entries loaded\n",
-                   cache_path.c_str(), cache->size());
-    }
-    serve::Advisor advisor;
-    if (!history_path.empty()) {
-      advisor = serve::Advisor::from_file(history_path);
-      std::fprintf(stderr, "[pilot] advisor: %zu history rows from %s\n",
-                   advisor.size(), history_path.c_str());
-    }
-
-    serve::ServerOptions so;
-    so.socket_path = socket_path;
-    so.engine_spec = engine;
-    so.budget_ms = budget_ms;
-    so.seed = static_cast<std::uint64_t>(seed);
-    so.queue_capacity = queue > 0 ? static_cast<std::size_t>(queue) : 64;
-    so.workers = jobs > 0 ? static_cast<std::size_t>(jobs) : 0;
-    so.cache = cache.has_value() ? &*cache : nullptr;
-    so.advisor = history_path.empty() ? nullptr : &advisor;
-
-    serve::Server server(std::move(so));
-    std::string error;
-    if (!server.start(&error)) {
-      std::fprintf(stderr, "pilot serve: %s\n", error.c_str());
-      return 3;
-    }
-    std::signal(SIGTERM, handle_stop_signal);
-    std::signal(SIGINT, handle_stop_signal);
-    std::fprintf(stderr,
-                 "[pilot] serving on %s (engine %s, budget %lld ms)\n",
-                 socket_path.c_str(), engine.c_str(),
-                 static_cast<long long>(budget_ms));
-    while (g_serve_stop == 0 && !server.draining()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-    server.request_stop();
-    server.wait();
-    const serve::ServerStats st = server.stats();
-    std::fprintf(stderr,
-                 "[pilot] drained: accepted=%llu served=%llu errors=%llu "
-                 "rejected_queue_full=%llu\n",
-                 static_cast<unsigned long long>(st.accepted),
-                 static_cast<unsigned long long>(st.served),
-                 static_cast<unsigned long long>(st.errors),
-                 static_cast<unsigned long long>(st.rejected_queue_full));
-    if (cache.has_value()) {
-      std::fprintf(stderr, "[pilot] cache: %s\n", cache->summary().c_str());
-    }
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "pilot serve: %s\n", e.what());
-    return 3;
-  }
-}
-
-/// `pilot submit` — thin client for a running `pilot serve`.
-int run_submit(int argc, char** argv) {
-  std::string socket_path;
-  std::string cmd;
-  OptionParser parser(
-      "pilot submit — send AIGER files (or a control command) to a running "
-      "`pilot serve`.\n"
-      "usage: pilot submit --socket PATH <model.aag|model.aig>...\n"
-      "   or: pilot submit --socket PATH --cmd ping|stats|stop\n"
-      "Each file is one 'check' request; the server's one-line response is "
-      "printed per file.\nexit codes (single file): 0 = SAFE, 1 = UNSAFE, "
-      "2 = UNKNOWN, 3 = error; several files: 0 unless any request failed");
-  parser.add_string("socket", &socket_path,
-                    "socket path of the running server (required)");
-  parser.add_choice("cmd", &cmd, {"ping", "stats", "stop"},
-                    "send a control command instead of checking files");
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::fputs(parser.help_text().c_str(), stdout);
-      return 0;
-    }
-  }
-  if (!parser.parse(argc, argv)) return 3;
-  if (socket_path.empty()) {
-    std::fprintf(stderr, "pilot submit: --socket is required\n");
-    return 3;
-  }
-
-  if (!cmd.empty()) {
-    std::string error;
-    const std::optional<std::string> resp =
-        serve::client_request(socket_path, cmd + "\n", &error);
-    if (!resp.has_value()) {
-      std::fprintf(stderr, "pilot submit: %s\n", error.c_str());
-      return 3;
-    }
-    std::fputs(resp->c_str(), stdout);
-    return resp->rfind("ok", 0) == 0 ? 0 : 3;
-  }
-
-  if (parser.positional().empty()) {
-    std::fprintf(stderr,
-                 "usage: pilot submit --socket PATH <model.aag>...\n"
-                 "(try `pilot submit --help`)\n");
-    return 3;
-  }
-  int single_exit = 3;
-  bool any_failed = false;
-  for (const std::string& path : parser.positional()) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "pilot submit: cannot open %s\n", path.c_str());
-      any_failed = true;
-      continue;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::string error;
-    const std::optional<std::string> resp = serve::client_request(
-        socket_path, serve::make_check_request(text.str()), &error);
-    if (!resp.has_value()) {
-      std::fprintf(stderr, "pilot submit: %s: %s\n", path.c_str(),
-                   error.c_str());
-      any_failed = true;
-      continue;
-    }
-    std::printf("%s: %s", path.c_str(), resp->c_str());
-    if (resp->rfind("ok", 0) != 0) {
-      any_failed = true;
-    } else if (resp->find("verdict=SAFE") != std::string::npos) {
-      single_exit = 0;
-    } else if (resp->find("verdict=UNSAFE") != std::string::npos) {
-      single_exit = 1;
-    } else {
-      single_exit = 2;
-    }
-  }
-  if (parser.positional().size() == 1) return any_failed ? 3 : single_exit;
-  return any_failed ? 3 : 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Subcommand dispatch before flag parsing: `pilot certify <aig> <cert>`,
-  // `pilot serve --socket PATH`, `pilot submit --socket PATH file.aag`.
+  // Subcommand dispatch before flag parsing: `pilot certify <aig> <cert>`.
   if (argc > 1 && std::string(argv[1]) == "certify") {
     return run_certify(argc - 1, argv + 1);
-  }
-  if (argc > 1 && std::string(argv[1]) == "serve") {
-    return run_serve(argc - 1, argv + 1);
-  }
-  if (argc > 1 && std::string(argv[1]) == "submit") {
-    return run_submit(argc - 1, argv + 1);
   }
 
   std::string engine = "ic3-ctg-pl";
@@ -441,8 +217,6 @@ int main(int argc, char** argv) {
   std::string ternary_filter;
   std::int64_t gen_batch = -1;
   std::string gen_batch_adaptive;
-  std::string cache_path;
-  std::string history_path;
   bool exchange = false;
   std::int64_t budget_ms = 0;
   std::int64_t seed = 0;
@@ -467,8 +241,6 @@ int main(int argc, char** argv) {
       "usage: pilot [options] <model.aag|model.aig>\n"
       "   or: pilot --family FAMILY [--family-out FILE] [options]\n"
       "   or: pilot certify <model.aag|model.aig> <certificate>\n"
-      "   or: pilot serve --socket PATH [options]\n"
-      "   or: pilot submit --socket PATH <model.aag>...\n"
       "exit codes: 0 = SAFE, 1 = UNSAFE, 2 = UNKNOWN, 3 = usage/internal "
       "error, 4 = certification failure");
   std::string engine_help = "engine configuration (-pl = predicted lemmas):";
@@ -502,14 +274,6 @@ int main(int argc, char** argv) {
                     "size MIC probe batches from the observed probe failure "
                     "rate instead of the fixed --gen-batch width (default "
                     "off)");
-  parser.add_string("cache", &cache_path,
-                    "JSONL verdict cache keyed by the canonical AIG hash: "
-                    "serve a hit only after its stored certificate "
-                    "re-checks, store new certified verdicts (created when "
-                    "missing)");
-  parser.add_string("history", &history_path,
-                    "batch mode: results db mined for engine/budget advice "
-                    "on cache misses");
   parser.add_flag("exchange", &exchange,
                   "portfolio runs: share validated lemmas between the "
                   "racing IC3 backends (same as the portfolio-x spec)");
@@ -664,20 +428,6 @@ int main(int argc, char** argv) {
       if (!gen_batch_adaptive.empty()) {
         mo.gen_batch_adaptive = gen_batch_adaptive == "on";
       }
-      std::optional<serve::VerdictCache> cache;
-      if (!cache_path.empty()) {
-        cache.emplace(cache_path);
-        mo.cache = &*cache;
-        std::fprintf(stderr, "[pilot] cache %s: %zu entries loaded\n",
-                     cache_path.c_str(), cache->size());
-      }
-      serve::Advisor advisor;
-      if (!history_path.empty()) {
-        advisor = serve::Advisor::from_file(history_path);
-        mo.advisor = &advisor;
-        std::fprintf(stderr, "[pilot] advisor: %zu history rows from %s\n",
-                     advisor.size(), history_path.c_str());
-      }
       mo.share_lemmas = exchange;
       mo.seed = static_cast<std::uint64_t>(seed);
       mo.jobs = static_cast<std::size_t>(jobs);
@@ -714,10 +464,6 @@ int main(int argc, char** argv) {
                    s.mismatches, s.errors,
                    out_path.empty() ? "" : ", rows appended to ",
                    out_path.c_str());
-      if (cache.has_value()) {
-        std::fprintf(stderr, "[pilot] cache: %s\n",
-                     cache->summary().c_str());
-      }
       if (cert_failures > 0) {
         std::fprintf(stderr, "[pilot] %zu certificate check failure%s\n",
                      cert_failures, cert_failures == 1 ? "" : "s");
@@ -789,50 +535,6 @@ int main(int argc, char** argv) {
     // Build the transition system once; witness rendering reuses it.
     const ts::TransitionSystem ts =
         ts::TransitionSystem::from_aig(model, opts.property_index);
-
-    if (!history_path.empty()) {
-      std::fprintf(stderr,
-                   "[pilot] --history only informs batch mode (--corpus); "
-                   "ignored for a single model\n");
-    }
-    std::optional<serve::VerdictCache> cache;
-    std::string model_hash;
-    if (!cache_path.empty()) {
-      cache.emplace(cache_path);
-      model_hash = aig::canonical_hash_hex(model);
-      const std::optional<serve::CacheEntry> hit =
-          cache->lookup(model_hash, ts, opts.seed);
-      if (hit.has_value()) {
-        std::printf("%s\n", ic3::to_string(hit->verdict));
-        if (print_witness) {
-          if (hit->verdict == ic3::Verdict::kSafe) {
-            std::printf("0\nb%zu\n.\n", opts.property_index);
-          } else {
-            std::string why;
-            const std::optional<cert::Certificate> c =
-                cert::parse(hit->cert_text, &why);
-            if (c.has_value() &&
-                c->kind == cert::Certificate::Kind::kWitness) {
-              std::fputs(c->witness.c_str(), stdout);
-            }
-          }
-        }
-        std::fprintf(stderr,
-                     "[pilot] cache hit: solved by %s in %.3fs "
-                     "(certificate revalidated against this model)\n",
-                     hit->engine.c_str(), hit->seconds);
-        if (show_stats) {
-          std::fprintf(stderr, "[pilot] cache: %s\n",
-                       cache->summary().c_str());
-        }
-        if (!dump_trace()) return 3;
-        switch (hit->verdict) {
-          case ic3::Verdict::kSafe: return 0;
-          case ic3::Verdict::kUnsafe: return 1;
-          default: return 2;
-        }
-      }
-    }
 
     const check::CheckResult r = check::check_ts(ts, opts);
 
@@ -922,38 +624,10 @@ int main(int argc, char** argv) {
         }
       }
     }
-    if (cache.has_value() && r.verdict != ic3::Verdict::kUnknown) {
-      std::string why;
-      const std::optional<cert::Certificate> c = cert::from_verdict(
-          ts, r.verdict, r.invariant, r.trace, r.kind_k, r.kind_simple_path,
-          opts.property_index, &why);
-      if (c.has_value() && cert::check(ts, *c, opts.seed).ok) {
-        serve::CacheEntry entry;
-        entry.hash = model_hash;
-        entry.verdict = r.verdict;
-        entry.engine = engine;
-        entry.seconds = r.seconds;
-        entry.frames = r.frames;
-        entry.cert_text = cert::to_text(*c);
-        entry.case_name = source;
-        entry.timestamp = corpus::now_utc_iso8601();
-        cache->store(entry);
-      } else {
-        // Not cacheable (no certificate, or it failed its own re-check);
-        // the verdict itself is still reported normally.
-        std::fprintf(stderr, "[pilot] verdict not cached: %s\n",
-                     why.empty() ? "certificate re-check failed"
-                                 : why.c_str());
-      }
-    }
     if (show_stats) {
       std::fprintf(stderr, "[pilot] %s\n", r.stats.summary().c_str());
       if (!r.stats.phases.empty()) {
         std::fputs(r.stats.phases.table(r.stats.time_total).c_str(), stderr);
-      }
-      if (cache.has_value()) {
-        std::fprintf(stderr, "[pilot] cache: %s\n",
-                     cache->summary().c_str());
       }
     }
     if (!dump_trace()) return 3;
