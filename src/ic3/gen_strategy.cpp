@@ -20,10 +20,17 @@ namespace {
 
 // ----- fixed strategies ------------------------------------------------------
 
+/// IC3ref's `micAttempts`: a ctg MIC pass ends after this many consecutive
+/// failed ctgDown calls, and every adopted drop restores the full count.
+/// Stopping early is sound — a drop is adopted only on an UNSAT
+/// relative-induction query, so the pass just returns a larger valid lemma.
+constexpr int kMicAttempts = 3;
+
 /// The three drop-loop strategies share one MIC implementation and differ
-/// in literal ordering (cav23) and CTG handling (ctg); the mode is the
-/// strategy's own, NOT Config::gen_mode, so `--gen cav23` works on any
-/// engine configuration.
+/// in literal ordering (cav23) and CTG handling (ctg), and ctg alone ends a
+/// pass after kMicAttempts consecutive failed drops; down and cav23 try
+/// every literal.  The mode is the strategy's own, NOT Config::gen_mode, so
+/// `--gen cav23` works on any engine configuration.
 class FixedStrategy final : public GenStrategy {
  public:
   FixedStrategy(const GenContext& ctx, std::string name, GenMode mode)
@@ -148,6 +155,7 @@ class FixedStrategy final : public GenStrategy {
       defeated.erase(it);
       return false;
     };
+    int attempts = kMicAttempts;  // ctg only: failed drops left this pass
     for (std::size_t i = 0; i < order.size(); ++i) {
       const Lit l = order[i];
       if (cube.size() <= 1) break;
@@ -159,6 +167,9 @@ class FixedStrategy final : public GenStrategy {
         if (ctg_down(cand, level, depth, deadline, add_lemma)) {
           cube = cand;
           ++ctx_.stats.num_mic_drops;
+          attempts = kMicAttempts;
+        } else if (--attempts == 0) {
+          break;
         }
         continue;
       }

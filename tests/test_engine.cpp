@@ -236,6 +236,27 @@ TEST(Engine, PropagationSkipsPushesWithLiveCtps) {
   }
 }
 
+// Work-count gate on the fixed gen-heavy anchor case, where ctgDown
+// dominates: with IC3ref's three-attempt bound on each ctg MIC pass ic3-ctg
+// makes 5,894 MIC queries here, without it 32,969.  The count is
+// deterministic, so the ceiling catches a lost bound without timing
+// anything.
+TEST(Engine, CtgMicQueriesStayBoundedOnLfsrAnchor) {
+  const circuits::CircuitCase cc = circuits::lfsr_unsafe(12, 2089, 60);
+  const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
+  Config cfg;
+  cfg.gen_mode = GenMode::kCtg;  // the ic3-ctg configuration
+  Engine engine(ts, cfg);
+  const Result r = engine.check();
+  ASSERT_EQ(r.verdict, Verdict::kUnsafe);
+  std::string why;
+  const auto cert = cert::from_verdict(ts, r.verdict, r.invariant, r.trace,
+                                       0, false, 0, &why);
+  ASSERT_TRUE(cert.has_value()) << why;
+  EXPECT_TRUE(cert::check(ts, *cert).ok);
+  EXPECT_LT(r.stats.num_mic_queries, 10000u);
+}
+
 TEST(Engine, NoPredictionStatsWhenDisabled) {
   Config cfg;
   cfg.predict_lemmas = false;

@@ -6,6 +6,10 @@
 /// so a newly registered strategy is covered without editing this file.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <tuple>
+
+#include "circuits/builder.hpp"
 #include "circuits/families.hpp"
 #include "ic3/gen_strategy.hpp"
 #include "ic3/generalizer.hpp"
@@ -194,6 +198,79 @@ TEST(Generalizer, MicQueryCountIsBoundedByCubeSizeTimesPasses) {
                             [&](const Cube&, std::size_t) {});
   // Plain down: at most one query per literal of the (core-shrunk) cube.
   EXPECT_LE(f.stats.num_mic_queries - before, core.size());
+}
+
+/// Latches y0..y7 plus one free latch z, created in the order y0, y1, z,
+/// y2..y7 so that state-variable (and cube) order puts z third.  From the
+/// all-zero initial state every y_i' = in_i ∧ ¬(in_0 ∧ … ∧ in_7): any seven
+/// y's can be 1 after one step, all eight cannot.  So at level 1 the cube
+/// {y0..y7, z} is inductive relative to F_0, dropping any y fails, and
+/// dropping z succeeds.
+circuits::CircuitCase all_but_one_latches() {
+  aig::Aig aig;
+  circuits::Word latches = circuits::make_latches(aig, 9);
+  const aig::AigLit z = latches[2];
+  latches.erase(latches.begin() + 2);
+  const circuits::Word& ys = latches;
+  const circuits::Word in = circuits::make_inputs(aig, 9);
+  const aig::AigLit all_in = aig.make_and_n(std::span(in).first(8));
+  for (std::size_t i = 0; i < 8; ++i) {
+    aig.set_next(ys[i], aig.make_and(in[i], !all_in));
+  }
+  aig.set_next(z, in[8]);
+  // z must reach the property, or the cone-of-influence reduction drops it.
+  aig.add_bad(aig.make_and(aig.make_and_n(ys), z));
+  return circuits::CircuitCase{"all_but_one_latches", "test", std::move(aig),
+                               /*expected_safe=*/true};
+}
+
+// IC3ref's attempt bound: a ctg pass gives up after three consecutive
+// failed ctgDown calls, and an adopted drop restores the count.  At level 1
+// the predecessor of a failed query is an initial state, so the CTG join
+// is empty and each ctgDown call costs exactly one query.
+TEST(Generalizer, CtgPassEndsAfterThreeConsecutiveFailedDrops) {
+  GenFixture f("ctg", all_but_one_latches());
+  const auto generalize_at_level_1 = [&](const Cube& cube) {
+    EXPECT_TRUE(
+        f.solvers->relative_inductive(cube, 0, false, nullptr, Deadline{}));
+    const std::uint64_t queries = f.stats.num_mic_queries;
+    const std::uint64_t drops = f.stats.num_mic_drops;
+    // Start from the cube itself, not a core, so the pass meets z.
+    const Cube g = f.generalizer->generalize(
+        cube, cube, 1, Deadline{},
+        [&](const Cube& c, std::size_t lv) { f.add_lemma(c, lv); });
+    EXPECT_FALSE(f.ts.cube_intersects_init(g.lits())) << g.to_string();
+    EXPECT_TRUE(
+        f.solvers->relative_inductive(g, 0, false, nullptr, Deadline{}))
+        << g.to_string();
+    return std::tuple{g, f.stats.num_mic_queries - queries,
+                      f.stats.num_mic_drops - drops};
+  };
+  std::vector<Lit> ys;
+  for (std::size_t i = 0; i < 9; ++i) {
+    if (i != 2) ys.push_back(Lit::make(f.ts.state_var(i)));
+  }
+  const Cube y_cube = Cube::from_lits(ys);
+  const Lit z = Lit::make(f.ts.state_var(2));
+
+  // Every drop fails: the pass stops after three of the eight literals.
+  {
+    const auto [g, queries, drops] = generalize_at_level_1(y_cube);
+    EXPECT_EQ(queries, 3u);
+    EXPECT_EQ(drops, 0u);
+    EXPECT_EQ(g, y_cube);
+  }
+  // fail, fail, drop z, then three more failures: the drop reset the count,
+  // so the pass runs six queries, not four.
+  {
+    std::vector<Lit> lits = ys;
+    lits.push_back(z);
+    const auto [g, queries, drops] =
+        generalize_at_level_1(Cube::from_lits(std::move(lits)));
+    EXPECT_EQ(queries, 6u);
+    EXPECT_EQ(drops, 1u);
+    EXPECT_EQ(g, y_cube);
+  }
 }
 
 TEST(Generalizer, LegacyConfigKnobsStillSelectStrategies) {
