@@ -46,7 +46,7 @@ void Engine::import_shared_lemmas(const Deadline& deadline) {
       ++stats_.num_exchange_rejected;
       continue;
     }
-    if (frames_.subsumed_at(shared.cube, level)) {
+    if (frames_.blocking_level(shared.cube, level)) {
       ++stats_.num_exchange_skipped;
       continue;
     }
@@ -175,10 +175,13 @@ bool Engine::block(int root_index, const Deadline& deadline) {
     publish_progress();
     Obligation& ob = pool_[idx];
 
-    // Already blocked by an existing lemma?
-    if (frames_.subsumed_at(ob.cube, ob.level)) {
-      if (cfg_.reenqueue_obligations && ob.level < frames_.top_level()) {
-        ++ob.level;
+    // Already blocked by an existing lemma?  It stays blocked up to that
+    // lemma's level while this loop runs (lemmas only move up or give way
+    // to stronger ones), so re-enqueue it just above that level at once
+    // instead of re-checking it one level at a time.
+    if (const auto blocked = frames_.blocking_level(ob.cube, ob.level)) {
+      if (cfg_.reenqueue_obligations && *blocked < frames_.top_level()) {
+        ob.level = *blocked + 1;
         queue_.insert(QueueKey{ob.level, ob.depth, idx});
       }
       continue;

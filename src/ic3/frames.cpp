@@ -44,13 +44,14 @@ bool Frames::push_lemma(std::size_t level, std::size_t index) {
   return add_lemma(cube, level + 1);
 }
 
-bool Frames::subsumed_at(const Cube& cube, std::size_t level) const {
-  for (std::size_t j = level; j < delta_.size(); ++j) {
+std::optional<std::size_t> Frames::blocking_level(const Cube& cube,
+                                                  std::size_t level) const {
+  for (std::size_t j = delta_.size(); j-- > level;) {
     for (const Cube& d : delta_[j]) {
-      if (d.subset_of(cube)) return true;
+      if (d.subset_of(cube)) return j;
     }
   }
-  return false;
+  return std::nullopt;
 }
 
 std::vector<Cube> Frames::parents_of(const Cube& cube,

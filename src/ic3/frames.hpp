@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "ic3/ctp_store.hpp"
@@ -50,9 +51,12 @@ class Frames {
   /// delta(level).  The order of the remaining lemmas is kept.
   bool push_lemma(std::size_t level, std::size_t index);
 
-  /// True iff some lemma with top level ≥ `level` blocks `cube`
-  /// (i.e. its cube is a subset of `cube`, Theorem 3.4).
-  [[nodiscard]] bool subsumed_at(const Cube& cube, std::size_t level) const;
+  /// The highest top level ≥ `level` of a lemma that blocks `cube` (its
+  /// cube is a subset of `cube`, Theorem 3.4), or nullopt if none does.
+  /// `cube` is then blocked at every level from `level` up to the returned
+  /// one.
+  [[nodiscard]] std::optional<std::size_t> blocking_level(
+      const Cube& cube, std::size_t level) const;
 
   /// Parent lemmas of Algorithm 2: lemmas p ∈ F_level \ F_{level+1}
   /// (= delta(level)) with p ⊆ cube, i.e. clause ¬p implies clause ¬cube.

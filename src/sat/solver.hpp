@@ -179,6 +179,7 @@ class Solver {
 
   /// Excludes/includes a variable from decision making.
   void set_decision_var(Var v, bool decide);
+  [[nodiscard]] bool decision_var(Var v) const { return decision_var_[v] != 0; }
 
   /// Current VSIDS activity of a variable (in the solver's internal,
   /// un-normalized scale — meaningful only relative to max_activity()).

@@ -68,6 +68,8 @@ void TransitionSystem::install_combinational(sat::Solver& solver) const {
     solver.add_binary(~g, a);
     solver.add_binary(~g, b);
     solver.add_ternary(g, ~a, ~b);
+    // g is a function of its fanins: never branch on it.
+    solver.set_decision_var(g.var(), false);
   }
   // Invariant constraints hold at the current step.
   for (const AigLit c : aig_.constraints()) {
@@ -83,6 +85,7 @@ void TransitionSystem::install(sat::Solver& solver) const {
     const Lit fn = cur(aig_.next(aig_.latches()[i]));
     solver.add_binary(~xp, fn);
     solver.add_binary(xp, ~fn);
+    solver.set_decision_var(xp.var(), false);
   }
 }
 
@@ -103,6 +106,7 @@ void TransitionSystem::install_shifted(sat::Solver& solver, Var offset) const {
     solver.add_binary(~g, a);
     solver.add_binary(~g, b);
     solver.add_ternary(g, ~a, ~b);
+    solver.set_decision_var(g.var(), false);
   }
   for (const AigLit c : aig_.constraints()) {
     solver.add_unit(shift(cur(c)));
@@ -112,6 +116,7 @@ void TransitionSystem::install_shifted(sat::Solver& solver, Var offset) const {
     const Lit fn = shift(cur(aig_.next(aig_.latches()[i])));
     solver.add_binary(~xp, fn);
     solver.add_binary(xp, ~fn);
+    solver.set_decision_var(xp.var(), false);
   }
 }
 

@@ -11,11 +11,20 @@
 ///   T(X, Y, X') = Tseitin(AND gates) ∧ (X'_i ↔ next_i(X,Y)) ∧ constraints
 /// plus the unit literal fixing node 0 to false.
 ///
+/// Only latches and inputs are decision variables of the encoding: every
+/// AND-gate variable and every X' is marked non-decision, because once X
+/// and Y are assigned without conflict the Tseitin clauses and the X'
+/// equivalences force them by unit propagation.  A SAT answer therefore
+/// still carries a total model, and the solver spends no branching (and no
+/// VSIDS heap traffic) on variables that add no search power.  Variables a
+/// caller creates after install() stay decision variables.
+///
 /// The property is normalized to a *bad cone*: bad = B ∧ ⋀ constraints,
 /// built inside the AIG, so `bad()` is a plain literal over current-step
 /// variables.  Safety means bad is unreachable.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -80,16 +89,23 @@ class TransitionSystem {
   [[nodiscard]] std::size_t num_latches() const { return aig_.num_latches(); }
   [[nodiscard]] std::size_t num_inputs() const { return aig_.num_inputs(); }
 
+  // Latch and input indices count the latches and inputs of aig(), which
+  // cone-of-influence reduction may have renumbered and shrunk: an index
+  // taken from the input AIG is not one of these.
+
   /// SAT variable of the i-th latch (current step).
   [[nodiscard]] Var state_var(std::size_t latch_index) const {
+    assert(latch_index < num_latches());
     return static_cast<Var>(aig_.latches()[latch_index]);
   }
   /// SAT variable of the i-th latch at the next step (X').
   [[nodiscard]] Var next_state_var(std::size_t latch_index) const {
+    assert(latch_index < num_latches());
     return static_cast<Var>(aig_.num_nodes() + latch_index);
   }
   /// SAT variable of the i-th primary input.
   [[nodiscard]] Var input_var(std::size_t input_index) const {
+    assert(input_index < num_inputs());
     return static_cast<Var>(aig_.inputs()[input_index]);
   }
 

@@ -56,15 +56,21 @@ TEST(Frames, WeakerLemmaAtHigherLevelIsKept) {
   EXPECT_EQ(f.total_lemmas(), 2u);
 }
 
-TEST(Frames, SubsumedAtRespectsLevels) {
+TEST(Frames, BlockingLevelRespectsLevels) {
   Frames f;
-  f.ensure_level(3);
+  f.ensure_level(5);
   ASSERT_TRUE(f.add_lemma(Cube::from_lits({pos(1)}), 2));
   const Cube query = Cube::from_lits({pos(1), pos(5)});
-  EXPECT_TRUE(f.subsumed_at(query, 1));
-  EXPECT_TRUE(f.subsumed_at(query, 2));
-  EXPECT_FALSE(f.subsumed_at(query, 3));  // lemma's top level is 2
-  EXPECT_FALSE(f.subsumed_at(Cube::from_lits({pos(5)}), 1));
+  EXPECT_EQ(f.blocking_level(query, 1), 2u);
+  EXPECT_EQ(f.blocking_level(query, 2), 2u);
+  EXPECT_FALSE(f.blocking_level(query, 3));  // lemma's top level is 2
+  EXPECT_FALSE(f.blocking_level(Cube::from_lits({pos(5)}), 1));
+  // With a second blocking lemma higher up, the highest level is reported:
+  // the query is blocked at every level up to it.
+  ASSERT_TRUE(f.add_lemma(Cube::from_lits({pos(5)}), 4));
+  EXPECT_EQ(f.blocking_level(query, 1), 4u);
+  EXPECT_EQ(f.blocking_level(Cube::from_lits({pos(1), neg(5)}), 1), 2u);
+  EXPECT_FALSE(f.blocking_level(query, 5));
 }
 
 TEST(Frames, ParentsOfMatchesAlgorithm2) {
